@@ -5,7 +5,8 @@ a file or an inline argument, either as JSON {"n", "m", "rows"} or as
 plain whitespace-separated rows for m = 0.  Directions are 1-based and
 paths are comma-separated.  Identical invocations print identical bytes.
 
-Exit codes: 0 success, 1 refuted verification, 2 usage error, 3 budget
+Exit codes: 0 success, 1 refuted verification, 2 usage error (any invalid
+input, including a matrix that is not skew-symmetrizable), 3 budget
 exhaustion.
 """
 
@@ -41,6 +42,7 @@ from .seeds import (
     coefficient_free_seed,
     int_det,
     principal_seed,
+    validate_and_symmetrize,
 )
 from .semifield import TropicalElement, TropicalSemifield
 from .verify import (
@@ -66,7 +68,18 @@ ALL_CHECKS = ("cluster-seed", "adjacency", "coincide", "g-spec", "toric", "laure
 
 
 def load_matrix(source: str) -> ExchangeMatrix:
-    """Accept a file path, inline JSON, or inline whitespace rows."""
+    """Accept a file path, inline JSON, or inline whitespace rows.
+
+    The principal part must be skew-symmetrizable (NotSkewSymmetrizable
+    otherwise): every theorem the engine checks assumes it, so an input
+    breaking it is a usage error, never a refutation.
+    """
+    matrix = _read_matrix(source)
+    validate_and_symmetrize(matrix)
+    return matrix
+
+
+def _read_matrix(source: str) -> ExchangeMatrix:
     text = source
     if os.path.exists(source):
         with open(source) as fh:
@@ -113,15 +126,25 @@ def build_seed(matrix: ExchangeMatrix, coeffs: str, rng_seed: int) -> Seed:
             rank = int(coeffs.split(":", 1)[1])
         except ValueError:
             raise ParseError(f"bad tropical rank in {coeffs!r}")
+        if rank < 0:
+            raise ParseError(f"negative tropical rank in {coeffs!r}")
         rng = random.Random(rng_seed)
         return Seed.initial_general(
             matrix, TropicalSemifield(rank), random_tropical_tuple(matrix.n, rank, rng)
         )
     if coeffs.startswith("file:"):
-        with open(coeffs.split(":", 1)[1]) as fh:
-            obj = json.load(fh)
-        rank = int(obj["rank"])
-        tuples = [TropicalElement(t) for t in obj["coefficients"]]
+        path = coeffs.split(":", 1)[1]
+        with open(path) as fh:
+            try:
+                obj = json.load(fh)
+                rank = int(obj["rank"])
+                tuples = [TropicalElement(t) for t in obj["coefficients"]]
+            except KeyError as exc:
+                raise ParseError(f"coefficient file {path} has no key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"bad coefficient file {path}: {exc}") from exc
+        if rank < 0:
+            raise ParseError(f"negative tropical rank in {path}")
         if len(tuples) != matrix.n:
             raise ParseError(f"need {matrix.n} coefficient vectors")
         return Seed.initial_general(matrix, TropicalSemifield(rank), tuple(tuples))
@@ -185,13 +208,23 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_budget(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{name}={text!r} is not an integer")
+
+
 def _budgets(args) -> tuple[int, int]:
     max_vertices = args.max_vertices
     if max_vertices is None:
-        max_vertices = int(os.environ.get("CLUSTERMUT_MAX_VERTICES", DEFAULT_MAX_VERTICES))
+        max_vertices = _env_budget("CLUSTERMUT_MAX_VERTICES", DEFAULT_MAX_VERTICES)
     max_terms = args.max_terms
     if max_terms is None:
-        max_terms = int(os.environ.get("CLUSTERMUT_MAX_TERMS", DEFAULT_MAX_TERMS))
+        max_terms = _env_budget("CLUSTERMUT_MAX_TERMS", DEFAULT_MAX_TERMS)
     return max_vertices, max_terms
 
 

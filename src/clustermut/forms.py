@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotCompatible, ZeroRowUnsupported
+from .errors import BadDirection, NotCompatible, ZeroRowUnsupported
 from .seeds import ExchangeMatrix, Seed, validate_and_symmetrize
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -138,6 +138,8 @@ def mutate_form(form: FormCoefficientMatrix, seed_or_matrix, k: int) -> FormCoef
     b_kl < 0, read from the pre-mutation matrix).
     """
     matrix = seed_or_matrix.matrix if isinstance(seed_or_matrix, Seed) else seed_or_matrix
+    if not 1 <= k <= matrix.n:
+        raise BadDirection(f"direction {k} outside [1, {matrix.n}]")
     ok, witness = verify_compatibility(form, matrix)
     if not ok:
         raise NotCompatible(f"input form incompatible: {witness}")

@@ -13,6 +13,7 @@ semifield generators occupy ambient positions n..n+rank-1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -169,22 +170,12 @@ def validate_and_symmetrize(matrix: ExchangeMatrix) -> Skewsymmetrizer:
                 raise NotSkewSymmetrizable(f"no consistent symmetrizer at ({i + 1}, {j + 1})")
     ints = [0] * n
     for comp in blocks:
-        lcm = 1
-        for i in comp:
-            lcm = lcm * d[i].denominator // _gcd(lcm, d[i].denominator)
+        lcm = math.lcm(*(d[i].denominator for i in comp))
         vals = [int(d[i] * lcm) for i in comp]
-        g = 0
-        for v in vals:
-            g = _gcd(g, v)
+        g = math.gcd(*vals)
         for i, v in zip(comp, vals):
             ints[i] = v // g
     return Skewsymmetrizer(tuple(ints), tuple(sorted(blocks)))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def matrix_mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:

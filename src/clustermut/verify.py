@@ -9,6 +9,7 @@ serialization for exactly that reason.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -406,7 +407,7 @@ def random_skew_symmetrizable(
         for j in range(i + 1, n):
             p = rng.randint(-max_entry, max_entry)
             if p:
-                g = _gcd2(d[i], d[j])
+                g = math.gcd(d[i], d[j])
                 rows[i][j] = p * d[j] // g
                 rows[j][i] = -p * d[i] // g
     for i in range(n):
@@ -419,7 +420,7 @@ def random_skew_symmetrizable(
                     rows[i][n + rng.randrange(m)] = rng.choice([-1, 1])
                 else:
                     j = (i + 1) % n
-                    g = _gcd2(d[i], d[j])
+                    g = math.gcd(d[i], d[j])
                     rows[i][j] = d[j] // g
                     rows[j][i] = -d[i] // g
     return ExchangeMatrix.from_rows(rows, m)
@@ -434,9 +435,3 @@ def random_nondegenerate(rng: random.Random, n: int, max_entry: int = 2) -> Exch
         b = random_skew_symmetrizable(rng, n, 0, max_entry, no_zero_rows=True)
         if int_det(b.rows) != 0:
             return b
-
-
-def _gcd2(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

@@ -177,3 +177,51 @@ def test_extended_matrix_goes_geometric(capsys):
     code, out = run(["enumerate", '{"n":2,"m":1,"rows":[[0,1,1],[-1,0,0]]}'], capsys)
     assert code == 0
     assert out.startswith("5 vertices")
+
+
+def usage_error(argv, capsys):
+    """Exit code and the single stderr line of a rejected invocation."""
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return code, err
+
+
+def test_not_skew_symmetrizable_is_usage_error(capsys):
+    # "0 1;1 0" breaks the hypotheses; it must not read as a refutation
+    for command in ("enumerate", "verify"):
+        code, err = usage_error([command, "0 1;1 0"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "sign-skew" in err
+
+
+def test_forms_mutate_direction_out_of_range(capsys):
+    for k in ("0", "5"):
+        code, err = usage_error(["forms", A2_TEXT, "--mutate", k], capsys)
+        assert code == cli.EXIT_USAGE
+        assert f"direction {k} outside [1, 2]" in err
+
+
+def test_non_integer_budget_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CLUSTERMUT_MAX_VERTICES", "1e3")
+    code, err = usage_error(["enumerate", A2_TEXT], capsys)
+    assert code == cli.EXIT_USAGE and "CLUSTERMUT_MAX_VERTICES" in err
+    monkeypatch.delenv("CLUSTERMUT_MAX_VERTICES")
+    monkeypatch.setenv("CLUSTERMUT_MAX_TERMS", "many")
+    code, err = usage_error(["verify", A2_TEXT, "--check", "laurent"], capsys)
+    assert code == cli.EXIT_USAGE and "CLUSTERMUT_MAX_TERMS" in err
+
+
+def test_negative_tropical_rank_is_usage_error(capsys):
+    code, err = usage_error(["enumerate", A2_TEXT, "--coeffs", "tropical:-1"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "tropical:-1" in err
+
+
+def test_coefficient_file_without_rank_is_usage_error(tmp_path, capsys):
+    coeff_file = tmp_path / "coeffs.json"
+    coeff_file.write_text(json.dumps({"coefficients": [[1, 0], [-1, 2]]}))
+    code, err = usage_error(["enumerate", A2_TEXT, "--coeffs", f"file:{coeff_file}"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "'rank'" in err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clustermut import (
+    BadDirection,
     ExchangeMatrix,
     FormCoefficientMatrix,
     LaurentFraction,
@@ -200,3 +201,10 @@ def test_pullback_matches_mutate_form_on_a2(a2):
                     LaurentPolynomial.const(seed.vars, form.omega[p][q].denominator),
                 )
                 assert acc.equals(expected)
+
+
+def test_mutate_form_rejects_bad_direction(a2):
+    form = compatible_form_space(a2).basis[0]
+    for k in (0, 3):
+        with pytest.raises(BadDirection):
+            mutate_form(form, a2, k)

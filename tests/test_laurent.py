@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from clustermut import (
     ContextMismatch,
@@ -13,6 +13,7 @@ from clustermut import (
     lp_exact_div,
     parse_poly,
 )
+from clustermut.laurent import PACK_MIN_TERMS
 
 V2 = ambient_vars(2)
 V3 = ambient_vars(3)
@@ -206,3 +207,61 @@ def test_derivative():
     p = lp("x1^2*x2 + x1^-1 + 5")
     assert p.derivative(0) == lp("2*x1*x2 - x1^-2")
     assert p.derivative(1) == lp("x1^2")
+
+
+# -- packed kernel ---------------------------------------------------------------
+
+# exponents near powers of two put a span exactly on a field-width boundary
+EDGE_EXPS = [s * (2 ** k + d) for k in (0, 7, 8, 31, 32, 40) for d in (-1, 0) for s in (1, -1)]
+
+
+@st.composite
+def wide_polys(draw, vars=V3):
+    """Mixed-sign exponents up to about 2^40 in size, coefficients above 2^64,
+    and either few terms or enough for the packed product path."""
+    exps = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 40), 2 ** 40), st.sampled_from(EDGE_EXPS))
+    coeffs = st.one_of(st.integers(-9, 9), st.integers(2 ** 64, 2 ** 80), st.integers(-(2 ** 80), -(2 ** 64)))
+    n_terms = st.one_of(st.integers(1, 3), st.integers(PACK_MIN_TERMS, PACK_MIN_TERMS + 4))
+    terms = {}
+    for _ in range(draw(n_terms)):
+        e = tuple(draw(exps) for _ in vars)
+        terms[e] = terms.get(e, 0) + draw(coeffs)
+    return LaurentPolynomial(vars, terms)
+
+
+def naive_product(a, b):
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            terms[e] = terms.get(e, 0) + ca * cb
+    return {e: c for e, c in terms.items() if c}
+
+
+@given(wide_polys(), wide_polys(), st.tuples(*[st.integers(-2, 2)] * 3), st.sampled_from([1, -1, 3]))
+@settings(max_examples=150, deadline=None)
+def test_packed_kernel_matches_naive_arithmetic(a, b, bump, c):
+    product = a * b
+    assert product.terms == naive_product(a, b)
+    if b.is_zero():
+        return
+    assert product.exact_div(b) == a
+    # a monomial is a multiple of b only when b is a monomial itself, so a
+    # bumped dividend must be refused, and any quotient returned must be exact
+    bumped = product + LaurentPolynomial.monomial(V3, bump, c)
+    try:
+        quo = bumped.exact_div(b)
+    except NotDivisible:
+        return
+    assert b.is_monomial()
+    assert naive_product(quo, b) == bumped.terms
+
+
+def test_squares_of_long_polynomials_round_trip():
+    # operands long enough for the packed product, with a repeated span
+    p = parse_poly(V2, " + ".join(f"{k + 1}*x1^{k}*x2^{(3 * k) % 7 - 3}" for k in range(-6, 7)))
+    sq = p * p
+    assert sq.terms == naive_product(p, p)
+    assert sq.exact_div(p) == p
+    with pytest.raises(NotDivisible):
+        (sq + lp("x1^20")).exact_div(p)
