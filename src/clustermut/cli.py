@@ -181,7 +181,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", type=int, default=None, help="mutation depth limit")
         p.add_argument("--max-vertices", type=int, default=None)
         p.add_argument("--max-terms", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1, help="accepted; no effect")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized coefficients")
 
     p_mutate = sub.add_parser("mutate", help="apply a mutation path and print the seed")
@@ -250,9 +250,7 @@ def _enumerate(args):
     seed = build_seed(matrix, args.coeffs, args.seed)
     depth = args.depth if args.depth is not None else DEFAULT_DEPTH
     max_vertices, max_terms = _budgets(args)
-    return enumerate_graph(
-        seed, depth, max_vertices=max_vertices, max_terms=max_terms, workers=args.workers
-    )
+    return enumerate_graph(seed, depth, max_vertices=max_vertices, max_terms=max_terms)
 
 
 def cmd_enumerate(args, out) -> int:
@@ -311,10 +309,7 @@ def cmd_verify(args, out) -> int:
     reports: list[VerificationReport] = []
     if "cluster-seed" in wanted or "adjacency" in wanted:
         seed = build_seed(matrix, args.coeffs, args.seed)
-        graph = enumerate_graph(
-            seed, depth, max_vertices=max_vertices, max_terms=max_terms,
-            workers=args.workers,
-        )
+        graph = enumerate_graph(seed, depth, max_vertices=max_vertices, max_terms=max_terms)
         if "cluster-seed" in wanted:
             reports.append(check_cluster_determines_seed(graph))
         if "adjacency" in wanted:
@@ -343,8 +338,7 @@ def cmd_verify(args, out) -> int:
     if "laurent" in wanted:
         seed = build_seed(matrix, args.coeffs, args.seed)
         reports.append(
-            check_laurent(seed, depth, max_vertices=max_vertices, max_terms=max_terms,
-                          workers=args.workers)
+            check_laurent(seed, depth, max_vertices=max_vertices, max_terms=max_terms)
         )
     merged = merge_reports(reports)
     if args.format == "json":
@@ -368,6 +362,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
+        if getattr(args, "depth", None) is not None and args.depth < 0:
+            raise ParseError(f"--depth must be nonnegative, got {args.depth}")
         if args.command == "mutate":
             return cmd_mutate(args, out)
         if args.command == "enumerate":

@@ -91,9 +91,10 @@ def compatible_form_space(matrix: ExchangeMatrix) -> FormBasis:
 
 
 def verify_compatibility(form: FormCoefficientMatrix, matrix: ExchangeMatrix):
-    """Diagnostic check: skew-symmetry, a block-constant Lambda solving
-    Omega[n; n+m] = Lambda D B~, and the proportionality relations
-    omega_ij b_ik = omega_ik b_ij.  Returns (True, None) or (False, witness).
+    """Diagnostic check: skew-symmetry and a block-constant Lambda solving
+    Omega[n; n+m] = Lambda D B~.  The latter implies the proportionality
+    relations omega_ij b_ik = omega_ik b_ij, since both sides equal
+    lambda d_i b_ij b_ik.  Returns (True, None) or (False, witness).
     """
     n, m = matrix.n, matrix.m
     size = n + m
@@ -118,14 +119,6 @@ def verify_compatibility(form: FormCoefficientMatrix, matrix: ExchangeMatrix):
             for j in range(size):
                 if form.omega[i][j] != lam * sym.d[i] * matrix.rows[i][j]:
                     return False, f"entry ({i + 1}, {j + 1}) breaks Omega = Lambda D B"
-    for i in range(n):
-        for j in range(size):
-            for k in range(size):
-                if (
-                    form.omega[i][j] * matrix.rows[i][k]
-                    != form.omega[i][k] * matrix.rows[i][j]
-                ):
-                    return False, f"proportionality fails at ({i + 1}, {j + 1}, {k + 1})"
     return True, None
 
 

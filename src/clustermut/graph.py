@@ -2,15 +2,13 @@
 equivalence.
 
 Vertices are canonical seed representatives, deduplicated by the stable key
-from Seed.key(); breadth-first layers expand in a fixed order (and may fan
-out over a thread pool), so the resulting graph is byte-deterministic
-regardless of worker count.
+from Seed.key(); breadth-first layers expand in a fixed order, so the
+resulting graph is byte-deterministic.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, ContextMismatch, ParseError
@@ -186,7 +184,6 @@ def enumerate_graph(
     depth_limit: int = DEFAULT_DEPTH,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_terms: int = DEFAULT_MAX_TERMS,
-    workers: int = 1,
 ) -> ExchangeGraph:
     """Breadth-first closure of mutation in all n directions.
 
@@ -212,19 +209,12 @@ def enumerate_graph(
 
     layer = [0]
     depth = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while layer and depth < depth_limit:
-            jobs = [(u, k) for u in layer for k in range(1, n + 1)]
-
-            def expand(job: tuple[int, int]):
-                u, k = job
+    while layer and depth < depth_limit:
+        new_layer: list[int] = []
+        for u in layer:
+            for k in range(1, n + 1):
                 child = seeds[u].mutate(k).canonicalized()
-                return child, child.key()
-
-            results = list(pool.map(expand, jobs)) if pool else [expand(j) for j in jobs]
-            new_layer: list[int] = []
-            for (u, k), (child, ck) in zip(jobs, results):
+                ck = child.key()
                 idx = index.get(ck)
                 if idx is None:
                     if len(seeds) + 1 > max_vertices:
@@ -244,11 +234,8 @@ def enumerate_graph(
                     neighbors.append({})
                     new_layer.append(idx)
                 neighbors[u][k] = idx
-            layer = new_layer
-            depth += 1
-    finally:
-        if pool:
-            pool.shutdown(wait=False)
+        layer = new_layer
+        depth += 1
 
     graph = snapshot(True)
     graph.stats = {"vertices": len(seeds), "depth_reached": depth}
@@ -266,6 +253,23 @@ class LockstepResult:
     b_covers_a: bool
 
 
+def _reduced_tree(
+    n: int, depth: int, roots: tuple[Seed, ...] = ()
+) -> list[tuple[tuple[int, ...], tuple[Seed, ...]]]:
+    """(path, seeds) for every mutation path up to the given length with no
+    immediate backtracking, in breadth-first order.  The seeds are the roots
+    mutated along the path; each node mutates its parent's seeds once."""
+    nodes: list[tuple[tuple[int, ...], tuple[Seed, ...]]] = [((), roots)]
+    # the loop visits the children it appends, so it walks the whole tree
+    for path, seeds in nodes:
+        if len(path) < depth:
+            last = path[-1] if path else 0
+            for k in range(1, n + 1):
+                if k != last:
+                    nodes.append((path + (k,), tuple(s.mutate(k) for s in seeds)))
+    return nodes
+
+
 def compare_by_paths(a: Seed, b: Seed, depth: int) -> LockstepResult:
     """Walk all reduced mutation paths to the given depth and compare the
     two quotient identifications.
@@ -278,57 +282,35 @@ def compare_by_paths(a: Seed, b: Seed, depth: int) -> LockstepResult:
         raise ContextMismatch("seeds have different ranks")
     if a.matrix.principal().rows != b.matrix.principal().rows:
         raise ContextMismatch("seeds have different principal exchange matrices")
-    n = a.n
-    paths: list[tuple[int, ...]] = [()]
-    seeds_a, seeds_b = [a], [b]
+    if depth < 0:
+        raise ContextMismatch("depth must be nonnegative")
+    nodes = _reduced_tree(a.n, depth, (a, b))
     first_a: dict[bytes, int] = {}
     first_b: dict[bytes, int] = {}
     labels_a: list[int] = []
     labels_b: list[int] = []
-    head = 0
-    while head < len(paths):
-        path = paths[head]
-        sa, sb = seeds_a[head], seeds_b[head]
-        labels_a.append(first_a.setdefault(sa.key(), head))
-        labels_b.append(first_b.setdefault(sb.key(), head))
-        if len(path) < depth:
-            last = path[-1] if path else 0
-            for k in range(1, n + 1):
-                if k == last:
-                    continue
-                paths.append(path + (k,))
-                seeds_a.append(sa.mutate(k))
-                seeds_b.append(sb.mutate(k))
-        head += 1
+    for v, (_, (sa, sb)) in enumerate(nodes):
+        labels_a.append(first_a.setdefault(sa.key(), v))
+        labels_b.append(first_b.setdefault(sb.key(), v))
 
     divergence = None
     coincide = True
     a_covers_b = True
     b_covers_a = True
-    for v in range(len(paths)):
+    for v in range(len(nodes)):
         la, lb = labels_a[v], labels_b[v]
         if la != lb and coincide:
             coincide = False
             partner = min(la, lb)
-            divergence = (paths[v], paths[partner])
+            divergence = (nodes[v][0], nodes[partner][0])
         if labels_b[la] != labels_b[v]:
             a_covers_b = False
         if labels_a[lb] != labels_a[v]:
             b_covers_a = False
-    return LockstepResult(coincide, divergence, len(paths), a_covers_b, b_covers_a)
+    return LockstepResult(coincide, divergence, len(nodes), a_covers_b, b_covers_a)
 
 
 def reduced_paths(n: int, max_len: int) -> list[tuple[int, ...]]:
     """All mutation paths up to max_len with no immediate backtracking,
     in breadth-first order."""
-    out: list[tuple[int, ...]] = [()]
-    head = 0
-    while head < len(out):
-        path = out[head]
-        if len(path) < max_len:
-            last = path[-1] if path else 0
-            for k in range(1, n + 1):
-                if k != last:
-                    out.append(path + (k,))
-        head += 1
-    return out
+    return [path for path, _ in _reduced_tree(n, max_len)]

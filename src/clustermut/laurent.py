@@ -502,6 +502,20 @@ def parse_poly(vars: tuple[str, ...], text: str) -> LaurentPolynomial:
     return LaurentPolynomial(vars, terms)
 
 
+def strip_content(
+    num: LaurentPolynomial, den: LaurentPolynomial
+) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """Divide a nonzero numerator and denominator by their common monomial
+    and integer content; cheap, no polynomial GCD."""
+    shift = tuple(-min(a, b) for a, b in zip(num.min_exps(), den.min_exps()))
+    num, den = num.shift(shift), den.shift(shift)
+    g = math.gcd(*num.terms.values(), *den.terms.values())
+    if g > 1:
+        num = LaurentPolynomial(num.vars, {e: c // g for e, c in num.terms.items()})
+        den = LaurentPolynomial(den.vars, {e: c // g for e, c in den.terms.items()})
+    return num, den
+
+
 class LaurentFraction:
     """Transient numerator/denominator pair of Laurent polynomials.
 
@@ -552,18 +566,9 @@ class LaurentFraction:
         return self.num * other.den == other.num * self.den
 
     def _strip(self) -> "LaurentFraction":
-        # remove common monomial and integer content; cheap, no GCD
         if self.num.is_zero():
             return LaurentFraction(self.num, LaurentPolynomial.one(self.num.vars))
-        shift = tuple(
-            -min(a, b) for a, b in zip(self.num.min_exps(), self.den.min_exps())
-        )
-        num, den = self.num.shift(shift), self.den.shift(shift)
-        g = math.gcd(*num.terms.values(), *den.terms.values())
-        if g > 1:
-            num = LaurentPolynomial(num.vars, {e: c // g for e, c in num.terms.items()})
-            den = LaurentPolynomial(den.vars, {e: c // g for e, c in den.terms.items()})
-        return LaurentFraction(num, den)
+        return LaurentFraction(*strip_content(self.num, self.den))
 
     def normalized(self) -> "LaurentFraction":
         """Canonical form: clear the denominator entirely whenever possible."""

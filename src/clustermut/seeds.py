@@ -367,11 +367,37 @@ class Seed:
     # -- mutation ------------------------------------------------------------
 
     def mutate(self, k: int) -> "Seed":
+        """Exchange relation x_k x_k' = c+ P+ + c- P-, with P+ and P- the
+        products of x_i^[b_ki]+ and x_i^[-b_ki]+ over the extended cluster.
+
+        Geometric seeds keep their coefficients in the stable columns, so
+        c+ = c- = 1.  General seeds take c+ = y_k / (y_k (+) 1) and
+        c- = 1 / (y_k (+) 1) from the semifield and mutate the y-tuple.
+        """
         if not 1 <= k <= self.n:
             raise BadDirection(f"direction {k} outside [1, {self.n}]")
         if self.mode == GEOMETRIC:
-            return self._mutate_geometric(k)
-        return self._mutate_general(k)
+            plus = minus = LaurentPolynomial.one(self.vars)
+        else:
+            if self.semifield.kind == "subtraction-free":
+                raise ContextMismatch(
+                    "cluster mutation over subtraction-free coefficients is not "
+                    "supported; mutate the y-tuple with mutate_coefficients instead"
+                )
+            yk = self.coeffs[k - 1]
+            u_inv = yk.oplus(self.semifield.one()).inv()
+            plus, minus = self._embed(yk * u_inv), self._embed(u_inv)
+        for i, b in enumerate(self.matrix.rows[k - 1]):
+            if b > 0:
+                plus = plus * self.extended_value(i) ** b
+            elif b < 0:
+                minus = minus * self.extended_value(i) ** (-b)
+        new_var = (plus + minus).exact_div(self.cluster[k - 1])
+        cluster = self.cluster[: k - 1] + (new_var,) + self.cluster[k:]
+        coeffs = self.coeffs
+        if self.mode == GENERAL:
+            coeffs = mutate_coefficients(coeffs, self.matrix, k, self.semifield)
+        return Seed(self.matrix.mutate(k), cluster, self.mode, self.semifield, coeffs, self.vars)
 
     def mutate_path(self, path: Sequence[int]) -> "Seed":
         seed = self
@@ -379,62 +405,21 @@ class Seed:
             seed = seed.mutate(k)
         return seed
 
-    def _mutate_geometric(self, k: int) -> "Seed":
-        row = self.matrix.rows[k - 1]
-        plus = LaurentPolynomial.one(self.vars)
-        minus = LaurentPolynomial.one(self.vars)
-        for i, b in enumerate(row):
-            if b > 0:
-                plus = plus * self.extended_value(i) ** b
-            elif b < 0:
-                minus = minus * self.extended_value(i) ** (-b)
-        new_var = (plus + minus).exact_div(self.cluster[k - 1])
-        cluster = self.cluster[: k - 1] + (new_var,) + self.cluster[k:]
-        return Seed(self.matrix.mutate(k), cluster, GEOMETRIC, None, None, self.vars)
-
-    def _mutate_general(self, k: int) -> "Seed":
-        if self.semifield.kind == "subtraction-free":
-            raise ContextMismatch(
-                "cluster mutation over subtraction-free coefficients is not "
-                "supported; mutate the y-tuple with mutate_coefficients instead"
-            )
-        yk = self.coeffs[k - 1]
-        u_inv = yk.oplus(self.semifield.one()).inv()
-        c_plus = self._embed(yk * u_inv)
-        c_minus = self._embed(u_inv)
-        plus = LaurentPolynomial.one(self.vars)
-        minus = LaurentPolynomial.one(self.vars)
-        for i in range(self.n):
-            b = self.matrix.rows[k - 1][i]
-            if b > 0:
-                plus = plus * self.cluster[i] ** b
-            elif b < 0:
-                minus = minus * self.cluster[i] ** (-b)
-        new_var = (c_plus * plus + c_minus * minus).exact_div(self.cluster[k - 1])
-        cluster = self.cluster[: k - 1] + (new_var,) + self.cluster[k:]
-        coeffs = mutate_coefficients(self.coeffs, self.matrix, k, self.semifield)
-        return Seed(self.matrix.mutate(k), cluster, GENERAL, self.semifield, coeffs, self.vars)
-
     # -- derived data ----------------------------------------------------------
 
     def yhat(self) -> tuple[LaurentFraction, ...]:
-        """yhat_j = y_j * prod_k x_k^{b_jk} as exact fractions."""
+        """yhat_j = y_j * prod_i x_i^{b_ji} as exact fractions, the product
+        over the extended cluster; geometric seeds carry y_j in the stable
+        columns, so their explicit factor is 1."""
         out = []
-        if self.mode == GEOMETRIC:
-            for j in range(self.n):
-                acc = LaurentFraction.from_polynomial(LaurentPolynomial.one(self.vars))
-                for i in range(self.n + self.m):
-                    b = self.matrix.rows[j][i]
-                    if b:
-                        acc = acc * LaurentFraction.from_polynomial(self.extended_value(i)).pow(b)
-                out.append(acc.normalized())
-            return tuple(out)
         for j in range(self.n):
-            acc = self._embed_fraction(self.coeffs[j])
-            for i in range(self.n):
-                b = self.matrix.rows[j][i]
+            if self.mode == GEOMETRIC:
+                acc = LaurentFraction.from_polynomial(LaurentPolynomial.one(self.vars))
+            else:
+                acc = self._embed_fraction(self.coeffs[j])
+            for i, b in enumerate(self.matrix.rows[j]):
                 if b:
-                    acc = acc * LaurentFraction.from_polynomial(self.cluster[i]).pow(b)
+                    acc = acc * LaurentFraction.from_polynomial(self.extended_value(i)).pow(b)
             out.append(acc.normalized())
         return tuple(out)
 

@@ -12,11 +12,10 @@ descriptors used to build identities and evaluate Y-pattern expressions.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .errors import ContextMismatch
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, strip_content
 
 Y_PREFIX = "y"
 
@@ -119,12 +118,7 @@ class SubtractionFreeRational:
         if any(c < 0 for c in num.terms.values()) or any(c < 0 for c in den.terms.values()):
             raise ContextMismatch("subtraction-free elements have nonnegative coefficients")
         num._check_context(den)
-        shift = tuple(-min(a, b) for a, b in zip(num.min_exps(), den.min_exps()))
-        num, den = num.shift(shift), den.shift(shift)
-        g = math.gcd(*num.terms.values(), *den.terms.values())
-        if g > 1:
-            num = LaurentPolynomial(num.vars, {e: c // g for e, c in num.terms.items()})
-            den = LaurentPolynomial(den.vars, {e: c // g for e, c in den.terms.items()})
+        num, den = strip_content(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -3,8 +3,8 @@
 Each check returns a VerificationReport with a verdict of confirmed,
 refuted (always carrying a reproducible witness), or inconclusive when a
 depth or budget frontier was hit.  Confirmed verdicts are byte-reproducible
-across runs and worker counts; wall-clock time is kept out of the default
-serialization for exactly that reason.
+across runs; wall-clock time is kept out of the default serialization for
+exactly that reason.
 """
 
 from __future__ import annotations
@@ -312,7 +312,6 @@ def check_laurent(
     depth: int,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_terms: int = DEFAULT_MAX_TERMS,
-    workers: int = 1,
 ) -> VerificationReport:
     """Enumerate to the given depth; any exact-division failure refutes,
     and the largest coefficient bit length is reported as evidence of the
@@ -320,9 +319,7 @@ def check_laurent(
     t0 = time.monotonic()
     instance = f"B={initial.matrix.to_json()} depth={depth}"
     try:
-        graph = enumerate_graph(
-            initial, depth, max_vertices=max_vertices, max_terms=max_terms, workers=workers
-        )
+        graph = enumerate_graph(initial, depth, max_vertices=max_vertices, max_terms=max_terms)
     except NotDivisible as exc:
         return _timed(VerificationReport("laurent", instance, REFUTED, str(exc)), t0)
     except BudgetExceeded as exc:

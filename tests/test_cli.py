@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from clustermut import cli
 from clustermut.verify import VerificationReport
 
@@ -225,3 +227,13 @@ def test_coefficient_file_without_rank_is_usage_error(tmp_path, capsys):
     code, err = usage_error(["enumerate", A2_TEXT, "--coeffs", f"file:{coeff_file}"], capsys)
     assert code == cli.EXIT_USAGE
     assert "'rank'" in err
+
+
+@pytest.mark.parametrize("check", ["coincide", "g-spec", "toric"])
+def test_negative_depth_is_usage_error(check, capsys):
+    # an empty walk must not read as a confirmation
+    code = cli.main(["verify", "0 1;-1 0", "--check", check, "--depth", "-3"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: --depth must be nonnegative, got -3\n"

@@ -64,6 +64,83 @@ def test_verify_detects_perturbation(a2):
     assert "(1, 2)" in witness or "skew" in witness
 
 
+def oracle_compatible(omega, matrix):
+    """Independent test: Omega is skew-symmetric and each of its first n
+    rows is a rational multiple of the same row of B~."""
+    size = matrix.n + matrix.m
+    if any(omega[i][j] != -omega[j][i] for i in range(size) for j in range(size)):
+        return False
+    for i, b in enumerate(matrix.rows):
+        pivot = next((j for j in range(size) if b[j]), None)
+        scale = Fraction(0) if pivot is None else omega[i][pivot] / b[pivot]
+        if any(omega[i][j] != scale * b[j] for j in range(size)):
+            return False
+    return True
+
+
+def test_verify_compatibility_matches_oracle():
+    rng = random.Random(20261018)
+
+    def fraction():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    def verdicts(rows, matrix):
+        omega = tuple(tuple(r) for r in rows)
+        form = FormCoefficientMatrix(omega, matrix.n, matrix.m)
+        ok, _ = verify_compatibility(form, matrix)
+        assert ok == oracle_compatible(omega, matrix), (matrix.rows, omega)
+        return ok
+
+    rejected = {"top": 0, "rescale": 0}
+    accepted = {"top": 0, "rescale": 0}
+    for _ in range(150):
+        n, m = rng.randint(2, 5), rng.randint(0, 3)
+        size = n + m
+        matrix = random_skew_symmetrizable(rng, n, m, no_zero_rows=True)
+        basis = compatible_form_space(matrix).basis
+        coeffs = [fraction() for _ in basis]
+        base = [
+            [sum(c * f.omega[i][j] for c, f in zip(coeffs, basis)) for j in range(size)]
+            for i in range(size)
+        ]
+        assert verdicts(base, matrix)
+
+        # a skew perturbation of a top-row entry; outside the support of
+        # that row of B~ it can never be compatible
+        i = rng.randrange(n)
+        j = rng.choice([c for c in range(size) if c != i])
+        rows = [list(r) for r in base]
+        delta = fraction()
+        rows[i][j] += delta
+        rows[j][i] -= delta
+        ok = verdicts(rows, matrix)
+        assert not (ok and matrix.rows[i][j] == 0)
+        (accepted if ok else rejected)["top"] += 1
+
+        # stable-stable entries are free
+        if m >= 2:
+            p, q = rng.sample(range(n, size), 2)
+            rows = [list(r) for r in base]
+            delta = fraction()
+            rows[p][q] += delta
+            rows[q][p] -= delta
+            assert verdicts(rows, matrix)
+
+        # row and column i rescaled together stay skew-symmetric
+        i = rng.randrange(n)
+        scale = fraction()
+        while scale == 1:
+            scale = fraction()
+        rows = [list(r) for r in base]
+        for j in range(size):
+            rows[i][j] *= scale
+            rows[j][i] *= scale
+        ok = verdicts(rows, matrix)
+        (accepted if ok else rejected)["rescale"] += 1
+    # both corruptions produce both verdicts, so the comparison bites
+    assert min(rejected.values()) > 0 and min(accepted.values()) > 0
+
+
 def test_basis_elements_verify(a3):
     ext = principal_extension(a3)
     for form in compatible_form_space(ext).basis:

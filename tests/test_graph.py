@@ -4,6 +4,7 @@ import pytest
 
 from clustermut import (
     BudgetExceeded,
+    ContextMismatch,
     DegenerateSeed,
     ExchangeGraph,
     ExchangeMatrix,
@@ -14,6 +15,7 @@ from clustermut import (
     compare_by_paths,
     enumerate_graph,
     principal_seed,
+    reduced_paths,
 )
 from clustermut.verify import random_tropical_tuple
 
@@ -118,13 +120,44 @@ def test_term_budget(markov):
         enumerate_graph(coefficient_free_seed(markov), 6, max_terms=50)
 
 
-def test_enumeration_deterministic_across_workers(a3):
+def test_enumeration_deterministic_across_runs(a3):
     seed = coefficient_free_seed(a3)
-    g1 = enumerate_graph(seed, 10, workers=1)
-    g2 = enumerate_graph(seed, 10, workers=4)
+    g1 = enumerate_graph(seed, 10)
+    g2 = enumerate_graph(seed, 10)
     assert g1 == g2
     assert g1.export("json") == g2.export("json")
     assert g1.export("dot") == g2.export("dot")
+
+
+# Finite types: cluster counts (Fomin-Zelevinsky, Cluster algebras II) and an
+# n-regular graph, so n * V / 2 edges.
+FINITE_TYPES = {
+    "A1": ([[0]], 2),
+    "A2": ([[0, 1], [-1, 0]], 5),
+    "A3": ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], 14),
+    "A4": ([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]], 42),
+    "A5": (
+        [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1], [0, 0, 0, -1, 0]],
+        132,
+    ),
+    "B3": ([[0, 1, 0], [-1, 0, 1], [0, -2, 0]], 20),
+    "C3": ([[0, 1, 0], [-1, 0, 2], [0, -1, 0]], 20),
+    "D4": ([[0, 1, 1, 1], [-1, 0, 0, 0], [-1, 0, 0, 0], [-1, 0, 0, 0]], 50),
+    "D5": (
+        [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 1], [0, 0, -1, 0, 0], [0, 0, -1, 0, 0]],
+        182,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_TYPES))
+def test_finite_type_counts(name):
+    rows, count = FINITE_TYPES[name]
+    g = enumerate_graph(coefficient_free_seed(ExchangeMatrix.from_rows(rows)), 20)
+    n = len(rows)
+    assert (g.vertex_count, g.complete) == (count, True)
+    assert g.edge_count == n * count // 2
+    assert g.degrees() == [n] * count
 
 
 def test_principal_enumeration_matches_counts(a2, b2, g2, a3):
@@ -199,3 +232,22 @@ def test_any_member_covers_coefficient_free(a2, rng):
 def test_compare_rejects_mismatched_principal_parts(a2, b2):
     with pytest.raises(Exception):
         compare_by_paths(coefficient_free_seed(a2), coefficient_free_seed(b2), 3)
+
+
+def test_compare_rejects_negative_depth(a2):
+    with pytest.raises(ContextMismatch):
+        compare_by_paths(principal_seed(a2), coefficient_free_seed(a2), -1)
+
+
+def test_reduced_paths_count_and_order():
+    # n (n-1)^(d-1) paths of each length d >= 1, shorter paths first
+    paths = reduced_paths(3, 3)
+    assert [len(p) for p in paths] == [0] + [1] * 3 + [2] * 6 + [3] * 12
+    assert paths[:5] == [(), (1,), (2,), (3,), (1, 2)]
+    assert all(a != b for p in paths for a, b in zip(p, p[1:]))
+    assert reduced_paths(3, -1) == [()]
+
+
+def test_compare_walks_every_reduced_path(a3):
+    seed = coefficient_free_seed(a3)
+    assert compare_by_paths(seed, seed, 4).nodes == len(reduced_paths(3, 4))
