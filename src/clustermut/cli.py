@@ -208,24 +208,29 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_budget(name: str, default: int) -> int:
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"{name}={text!r} is not an integer")
+def _budget(value: int | None, flag: str, env: str, default: int) -> int:
+    """The flag's value, else the environment variable's, else the default;
+    a negative budget is a usage error (zero is legal)."""
+    source = flag
+    if value is None:
+        text = os.environ.get(env)
+        if text is None:
+            return default
+        try:
+            value = int(text)
+        except ValueError:
+            raise ParseError(f"{env}={text!r} is not an integer")
+        source = env
+    if value < 0:
+        raise ParseError(f"{source} must be nonnegative, got {value}")
+    return value
 
 
 def _budgets(args) -> tuple[int, int]:
-    max_vertices = args.max_vertices
-    if max_vertices is None:
-        max_vertices = _env_budget("CLUSTERMUT_MAX_VERTICES", DEFAULT_MAX_VERTICES)
-    max_terms = args.max_terms
-    if max_terms is None:
-        max_terms = _env_budget("CLUSTERMUT_MAX_TERMS", DEFAULT_MAX_TERMS)
-    return max_vertices, max_terms
+    return (
+        _budget(args.max_vertices, "--max-vertices", "CLUSTERMUT_MAX_VERTICES", DEFAULT_MAX_VERTICES),
+        _budget(args.max_terms, "--max-terms", "CLUSTERMUT_MAX_TERMS", DEFAULT_MAX_TERMS),
+    )
 
 
 def cmd_mutate(args, out) -> int:

@@ -213,7 +213,9 @@ def enumerate_graph(
         new_layer: list[int] = []
         for u in layer:
             for k in range(1, n + 1):
-                child = seeds[u].mutate(k).canonicalized()
+                # key() canonicalizes on its own; only a new vertex keeps
+                # the canonical form
+                child = seeds[u].mutate(k)
                 ck = child.key()
                 idx = index.get(ck)
                 if idx is None:
@@ -227,7 +229,7 @@ def enumerate_graph(
                             f"term budget {max_terms} exhausted", snapshot(False)
                         )
                     idx = len(seeds)
-                    seeds.append(child)
+                    seeds.append(child.canonicalized())
                     keys.append(ck)
                     index[ck] = idx
                     depths.append(depth + 1)

@@ -310,10 +310,7 @@ class Seed:
         return cls(matrix, cluster, GEOMETRIC, None, None, vars)
 
     @classmethod
-    def initial_general(
-        cls, matrix: ExchangeMatrix, semifield, coeffs: tuple | None = None,
-        extra_vars: Sequence[str] = (),
-    ) -> "Seed":
+    def initial_general(cls, matrix: ExchangeMatrix, semifield, coeffs: tuple | None = None) -> "Seed":
         if matrix.m != 0:
             raise ContextMismatch("general seeds take a plain n x n matrix")
         rank = semifield.rank
@@ -323,7 +320,6 @@ class Seed:
             vars = ambient_vars(matrix.n) + semifield.vars
         else:
             vars = ambient_vars(matrix.n)
-        vars = vars + tuple(extra_vars)
         if coeffs is None:
             coeffs = tuple(semifield.one() for _ in range(matrix.n))
         if len(coeffs) != matrix.n:

@@ -237,22 +237,22 @@ def check_graph_coincidence(matrix: ExchangeMatrix, depth: int, rng_seed: int = 
 
 def check_g_specialization(matrix: ExchangeMatrix, path: tuple[int, ...]) -> VerificationReport:
     """Principal-coefficient variables with all stable variables set to 1
-    must equal the coefficient-free variables along the same path."""
+    must equal the coefficient-free variables along the same path.
+
+    Setting x_{n+1}..x_{2n} to 1 is an exponent map: each term keeps its
+    first n exponents, and terms that land on the same monomial add up."""
     t0 = time.monotonic()
     b = matrix.principal()
     instance = f"B={b.to_json()} path={list(path)}"
     pr = principal_seed(b).mutate_path(path)
     cf = coefficient_free_seed(b).mutate_path(path)
-    one = LaurentPolynomial.one(pr.vars)
-    images = [
-        LaurentPolynomial.variable(pr.vars, i) if i < b.n else one
-        for i in range(len(pr.vars))
-    ]
     for i in range(b.n):
-        specialized = pr.cluster[i].substitute(images).as_polynomial()
-        expected = cf.cluster[i].with_vars(pr.vars)
-        if specialized != expected:
-            witness = f"variable {i + 1}: {specialized} != {expected}"
+        terms: dict[tuple[int, ...], int] = {}
+        for exps, coeff in pr.cluster[i].terms.items():
+            terms[exps[:b.n]] = terms.get(exps[:b.n], 0) + coeff
+        specialized = LaurentPolynomial(cf.vars, terms)
+        if specialized != cf.cluster[i]:
+            witness = f"variable {i + 1}: {specialized} != {cf.cluster[i]}"
             return _timed(VerificationReport("g-spec", instance, REFUTED, witness), t0)
     return _timed(VerificationReport("g-spec", instance, CONFIRMED, None, {"variables": b.n}), t0)
 
@@ -263,45 +263,28 @@ def check_g_specialization(matrix: ExchangeMatrix, path: tuple[int, ...]) -> Ver
 def check_toric_invariance(matrix: ExchangeMatrix, path: tuple[int, ...]) -> VerificationReport:
     """Rescaling the initial extended cluster by the kernel weights must
     multiply every cluster variable by a Laurent monomial in the formal
-    parameters t1..tn."""
+    parameters t1..tn.
+
+    The rescaling x_i -> x_i * prod_j t_j^{w^j_i} sends a term x^e to
+    x^e * t^(e.w^1, ..., e.w^n) with its coefficient unchanged, so the
+    ratio is a t-monomial iff every term of the variable has the same
+    weight degree (e.w^1, ..., e.w^n); no t parameter is ever adjoined."""
     t0 = time.monotonic()
     b = matrix.principal()
-    n = b.n
     instance = f"B={b.to_json()} path={list(path)}"
     weights = compute_toric_weights(b)
-    det = int_det(b.rows)
-    t_names = tuple(f"t{j}" for j in range(1, n + 1))
-    seed = principal_seed(b, extra_vars=t_names).mutate_path(path)
-    width = len(seed.vars)
-    images = []
-    for i in range(width):
-        exps = [0] * width
-        exps[i] = 1
-        if i < n:
-            for j in range(n):
-                exps[2 * n + j] += weights[j][i]
-        elif i < 2 * n:
-            exps[2 * n + (i - n)] += -det
-        images.append(LaurentPolynomial.monomial(seed.vars, exps))
-    for i in range(n):
-        scaled = seed.cluster[i].substitute(images).as_polynomial()
-        try:
-            ratio = scaled.exact_div(seed.cluster[i])
-        except NotDivisible:
-            witness = f"variable {i + 1}: scaled value is not a multiple of the original"
+    seed = principal_seed(b).mutate_path(path)
+    for i in range(b.n):
+        degrees = sorted({_weight_degree(exps, weights) for exps in seed.cluster[i].terms})
+        if len(degrees) > 1:
+            witness = f"variable {i + 1}: terms of weight degrees {degrees[0]} and {degrees[1]}"
             return _timed(VerificationReport("toric", instance, REFUTED, witness), t0)
-        bad = None
-        if not ratio.is_monomial():
-            bad = f"ratio {ratio} is not a monomial"
-        else:
-            (exps, coeff), = ratio.terms.items()
-            if coeff != 1 or any(exps[:2 * n]):
-                bad = f"ratio {ratio} involves more than the t parameters"
-        if bad:
-            return _timed(
-                VerificationReport("toric", instance, REFUTED, f"variable {i + 1}: {bad}"), t0
-            )
-    return _timed(VerificationReport("toric", instance, CONFIRMED, None, {"variables": n}), t0)
+    return _timed(VerificationReport("toric", instance, CONFIRMED, None, {"variables": b.n}), t0)
+
+
+def _weight_degree(exps: tuple[int, ...], weights) -> tuple[int, ...]:
+    """(e.w^1, ..., e.w^n) for the exponent vector e over x1..x2n."""
+    return tuple(sum(e * x for e, x in zip(exps, w)) for w in weights)
 
 
 # -- Laurent phenomenon ------------------------------------------------------------

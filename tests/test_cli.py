@@ -237,3 +237,30 @@ def test_negative_depth_is_usage_error(check, capsys):
     assert code == cli.EXIT_USAGE
     assert captured.out == ""
     assert captured.err == "error: --depth must be nonnegative, got -3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, env, source",
+    [
+        (["enumerate", A2_TEXT, "--max-vertices", "-1"], None, "--max-vertices"),
+        (["verify", A2_TEXT, "--check", "laurent", "--max-terms", "-5"], None, "--max-terms"),
+        (["enumerate", A2_TEXT], "CLUSTERMUT_MAX_VERTICES", "CLUSTERMUT_MAX_VERTICES"),
+        (["verify", A2_TEXT, "--check", "laurent"], "CLUSTERMUT_MAX_TERMS", "CLUSTERMUT_MAX_TERMS"),
+    ],
+)
+def test_negative_budget_is_usage_error(argv, env, source, capsys, monkeypatch):
+    # a negative budget is not exhausted (exit 3) nor merely inconclusive
+    if env:
+        monkeypatch.setenv(env, "-5")
+    code, err = usage_error(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {source} must be nonnegative, got -")
+
+
+def test_zero_budget_is_legal(capsys, monkeypatch):
+    code = cli.main(["enumerate", A2_TEXT, "--max-vertices", "0"])
+    assert code == cli.EXIT_BUDGET
+    monkeypatch.setenv("CLUSTERMUT_MAX_TERMS", "0")
+    code, out = run(["verify", A2_TEXT, "--check", "laurent"], capsys)
+    assert code == cli.EXIT_OK
+    assert out.startswith("laurent: inconclusive")

@@ -1,5 +1,9 @@
+import pytest
+
 from clustermut import (
+    ExchangeMatrix,
     LaurentPolynomial,
+    NotDivisible,
     Seed,
     check_adjacency,
     check_cluster_determines_seed,
@@ -14,8 +18,10 @@ from clustermut import (
     merge_reports,
     parse_poly,
     principal_seed,
+    random_nondegenerate,
     reduced_paths,
 )
+from clustermut import cli, verify
 from clustermut.verify import VerificationReport
 
 
@@ -169,6 +175,142 @@ def test_toric_empty_path_scales_by_own_weights(a2):
 def test_toric_invariance_paths(a2):
     for path in reduced_paths(2, 4):
         assert check_toric_invariance(a2, path).verdict == "confirmed"
+
+
+# -- the substitution oracle ------------------------------------------------------------
+#
+# The checks read g-specialization and toric invariance off exponent vectors.
+# These oracles compose Laurent fractions instead: they substitute the images
+# of the initial extended cluster and, for the toric action, divide back.
+
+
+def oracle_g_spec(b, path, cf_matrix):
+    """Witness text of the first variable whose specialization differs from
+    the coefficient-free one built from cf_matrix, or None."""
+    pr = principal_seed(b).mutate_path(path)
+    cf = coefficient_free_seed(cf_matrix).mutate_path(path)
+    one = LaurentPolynomial.one(pr.vars)
+    images = [
+        LaurentPolynomial.variable(pr.vars, i) if i < b.n else one for i in range(2 * b.n)
+    ]
+    for i in range(b.n):
+        specialized = pr.cluster[i].substitute(images).as_polynomial()
+        expected = cf.cluster[i].with_vars(pr.vars)
+        if specialized != expected:
+            return f"variable {i + 1}: {specialized} != {expected}"
+    return None
+
+
+def oracle_toric(b, path, weights) -> bool:
+    """Substitute x_i -> x_i * prod_j t_j^{w^j_i} with t1..tn adjoined, divide
+    by the original value and ask for a coefficient-1 monomial in the t."""
+    n = b.n
+    seed = principal_seed(b, extra_vars=tuple(f"t{j}" for j in range(1, n + 1)))
+    seed = seed.mutate_path(path)
+    images = []
+    for i in range(3 * n):
+        exps = [0] * (3 * n)
+        exps[i] = 1
+        if i < 2 * n:
+            for j in range(n):
+                exps[2 * n + j] += weights[j][i]
+        images.append(LaurentPolynomial.monomial(seed.vars, exps))
+    for x in seed.cluster:
+        try:
+            ratio = x.substitute(images).as_polynomial().exact_div(x)
+        except NotDivisible:
+            return False
+        if not ratio.is_monomial():
+            return False
+        (exps, coeff), = ratio.terms.items()
+        if coeff != 1 or any(exps[: 2 * n]):
+            return False
+    return True
+
+
+def random_reduced_path(rng, n, length):
+    path = []
+    while len(path) < length:
+        k = rng.randint(1, n)
+        if not path or k != path[-1]:
+            path.append(k)
+    return tuple(path)
+
+
+@pytest.mark.parametrize("n, instances", [(2, 60), (4, 20)])
+def test_checks_agree_with_substitution_oracle(n, instances, rng, monkeypatch):
+    toric_verdicts = set()
+    g_spec_verdicts = set()
+    for _ in range(instances):
+        b = random_nondegenerate(rng, n, max_entry=1)
+        path = random_reduced_path(rng, n, rng.randint(0, 3))
+        weights = compute_toric_weights(b)
+        assert oracle_toric(b, path, weights)
+        assert check_toric_invariance(b, path).verdict == "confirmed"
+        assert oracle_g_spec(b, path, b) is None
+        assert check_g_specialization(b, path).verdict == "confirmed"
+
+        # one weight entry off by one: the verdicts must still agree
+        bad = [list(w) for w in weights]
+        bad[rng.randrange(n)][rng.randrange(2 * n)] += rng.choice((-1, 1))
+        bad = tuple(tuple(w) for w in bad)
+        monkeypatch.setattr(verify, "compute_toric_weights", lambda _b: bad)
+        report = check_toric_invariance(b, path)
+        assert report.verdict == ("confirmed" if oracle_toric(b, path, bad) else "refuted")
+        toric_verdicts.add(report.verdict)
+
+        # the coefficient-free side built from another matrix
+        other = random_nondegenerate(rng, n, max_entry=1)
+        monkeypatch.setattr(verify, "coefficient_free_seed", lambda _b: coefficient_free_seed(other))
+        report = check_g_specialization(b, path)
+        assert report.witness == oracle_g_spec(b, path, other)
+        assert report.verdict == ("confirmed" if report.witness is None else "refuted")
+        g_spec_verdicts.add(report.verdict)
+        monkeypatch.undo()
+    assert toric_verdicts == g_spec_verdicts == {"confirmed", "refuted"}
+
+
+def test_g_specialization_adds_terms_that_meet():
+    # alternating A3 is degenerate: at the end of 1,2,3, two terms of x3 differ
+    # only in their stable exponents and specialize onto one monomial
+    b = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, -1], [0, 1, 0]])
+    assert "2*x1^-1*x3^-1" in str(coefficient_free_seed(b).mutate_path((1, 2, 3)).cluster[2])
+    assert oracle_g_spec(b, (1, 2, 3), b) is None
+    assert check_g_specialization(b, (1, 2, 3)).verdict == "confirmed"
+
+
+def test_toric_refutes_corrupted_weights(a2, monkeypatch, capsys):
+    real = verify.compute_toric_weights
+
+    def corrupted(b):
+        # the x3 entry of w^1: the exchange binomial x2*x3 + 1 of direction 1
+        # is no longer homogeneous
+        weights = [list(w) for w in real(b)]
+        weights[0][b.n] += 1
+        return tuple(tuple(w) for w in weights)
+
+    monkeypatch.setattr(verify, "compute_toric_weights", corrupted)
+    # a single-term variable is homogeneous under any weights
+    assert check_toric_invariance(a2, ()).verdict == "confirmed"
+    report = check_toric_invariance(a2, (1,))
+    assert report.verdict == "refuted"
+    witness = "variable 1: terms of weight degrees (0, 1) and (1, 1)"
+    assert report.witness == witness
+    assert cli.main(["verify", "0 1;-1 0", "--check", "toric"]) == cli.EXIT_REFUTED
+    assert capsys.readouterr().out == f"toric: refuted [{witness}]\n"
+
+
+def test_g_specialization_refutes_other_coefficient_free_matrix(a2, monkeypatch, capsys):
+    doubled = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
+    real = verify.coefficient_free_seed
+    monkeypatch.setattr(verify, "coefficient_free_seed", lambda _b: real(doubled))
+    assert check_g_specialization(a2, ()).verdict == "confirmed"
+    report = check_g_specialization(a2, (1,))
+    assert report.verdict == "refuted"
+    witness = "variable 1: x1^-1*x2 + x1^-1 != x1^-1*x2^2 + x1^-1"
+    assert report.witness == witness
+    assert cli.main(["verify", "0 1;-1 0", "--check", "g-spec"]) == cli.EXIT_REFUTED
+    assert capsys.readouterr().out == f"g-spec: refuted [{witness}]\n"
 
 
 # -- Laurent check -----------------------------------------------------------------------
