@@ -234,9 +234,18 @@ def _budgets(args) -> tuple[int, int]:
 
 
 def cmd_mutate(args, out) -> int:
+    """Mutate along the path; the term budget caps the cluster after each
+    step.  The vertex budget is validated but has nothing to bound here."""
     matrix = load_matrix(args.matrix)
     seed = build_seed(matrix, args.coeffs, args.seed)
-    seed = seed.mutate_path(parse_path(args.path))
+    _, max_terms = _budgets(args)
+    path = parse_path(args.path)
+    for step, k in enumerate(path, start=1):
+        seed = seed.mutate(k)
+        if sum(len(p.terms) for p in seed.cluster) > max_terms:
+            raise BudgetExceeded(
+                f"term budget {max_terms} exhausted at step {step} of {len(path)}"
+            )
     if args.format == "json":
         obj = {
             "cluster": [str(p) for p in seed.cluster],

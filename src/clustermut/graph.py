@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, ContextMismatch, ParseError
+from .errors import BudgetExceeded, ClusterMutError, ContextMismatch, ParseError
 from .laurent import parse_poly
 from .seeds import (
     GEOMETRIC,
@@ -185,11 +185,18 @@ def enumerate_graph(
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ExchangeGraph:
-    """Breadth-first closure of mutation in all n directions.
+    """Breadth-first exchange graph in which each edge is computed once.
+
+    Mutation is an involution, mu_k(mu_k(S)) = S: when mu_k of u reaches v,
+    the slot j of v holding the new variable leads back to u, so direction
+    j of v is read off that record when v expands instead of being mutated
+    again.  Two vertices claiming one (v, j) mean a broken exchange rule
+    and raise ClusterMutError.
 
     Expansion stops after depth_limit layers; vertices discovered in the
     last layer that never expanded are flagged as frontier.  Vertex or term
     budget overruns raise BudgetExceeded carrying the partial graph.
+    stats counts the mutations computed and the directions reused.
     """
     if depth_limit < 0:
         raise ContextMismatch("depth_limit must be nonnegative")
@@ -200,6 +207,9 @@ def enumerate_graph(
     index = {keys[0]: 0}
     depths = [0]
     neighbors: list[dict[int, int]] = [{}]
+    # back[v][j] = u: direction j of v undoes a mutation computed from u
+    back: list[dict[int, int]] = [{}]
+    mutations = reused = 0
     term_total = sum(len(p.terms) for p in rep0.cluster)
 
     def snapshot(complete: bool) -> ExchangeGraph:
@@ -213,9 +223,15 @@ def enumerate_graph(
         new_layer: list[int] = []
         for u in layer:
             for k in range(1, n + 1):
+                idx = back[u].get(k)
+                if idx is not None:
+                    reused += 1
+                    neighbors[u][k] = idx
+                    continue
                 # key() canonicalizes on its own; only a new vertex keeps
                 # the canonical form
                 child = seeds[u].mutate(k)
+                mutations += 1
                 ck = child.key()
                 idx = index.get(ck)
                 if idx is None:
@@ -234,13 +250,28 @@ def enumerate_graph(
                     index[ck] = idx
                     depths.append(depth + 1)
                     neighbors.append({})
+                    back.append({})
                     new_layer.append(idx)
+                # mutating idx at the slot of the new variable returns to u
+                j = seeds[idx].cluster.index(child.cluster[k - 1]) + 1
+                other = back[idx].get(j, neighbors[idx].get(j))
+                if other is not None:
+                    raise ClusterMutError(
+                        f"broken exchange rule: vertices {other} and {u} both "
+                        f"reach vertex {idx} through its direction {j}"
+                    )
+                back[idx][j] = u
                 neighbors[u][k] = idx
         layer = new_layer
         depth += 1
 
     graph = snapshot(True)
-    graph.stats = {"vertices": len(seeds), "depth_reached": depth}
+    graph.stats = {
+        "vertices": len(seeds),
+        "depth_reached": depth,
+        "mutations": mutations,
+        "reused": reused,
+    }
     return graph
 
 

@@ -229,13 +229,15 @@ def int_adjugate(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return adj
 
 
+@lru_cache(maxsize=None)
 def compute_toric_weights(matrix: ExchangeMatrix) -> tuple[tuple[int, ...], ...]:
     """Weight vectors w^1..w^n of length 2n in the kernel of B_pr.
 
     First n entries of w^j are the jth column of det(B) * B^{-1} (the
     adjugate column; the row form fails the kernel condition), last n are
-    -det(B) * e_j.  The kernel identity B_pr (w^j)^T = 0 is asserted on
-    every call.
+    -det(B) * e_j.  The weights are computed once per matrix, and the
+    kernel identity B_pr (w^j)^T = 0 is asserted on every weight set
+    computed.
     """
     b = matrix.principal().rows
     n = matrix.n

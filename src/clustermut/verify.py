@@ -298,7 +298,11 @@ def check_laurent(
 ) -> VerificationReport:
     """Enumerate to the given depth; any exact-division failure refutes,
     and the largest coefficient bit length is reported as evidence of the
-    arbitrary-precision arithmetic actually being exercised."""
+    arbitrary-precision arithmetic actually being exercised.
+
+    Each edge is mutated once, from the endpoint expanded first.  The
+    divisions skipped on the way back are x_k = (P+ + P-) / x_k', which
+    the forward step x_k' = (P+ + P-) / x_k already showed exact."""
     t0 = time.monotonic()
     instance = f"B={initial.matrix.to_json()} depth={depth}"
     try:

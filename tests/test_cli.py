@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +111,38 @@ def test_usage_error_on_bad_direction(capsys):
 def test_budget_exit_code(capsys):
     code = cli.main(["enumerate", MARKOV, "--depth", "6", "--max-vertices", "10"])
     assert code == cli.EXIT_BUDGET
+
+
+def test_mutate_negative_vertex_budget_is_usage_error(capsys):
+    assert cli.main(["mutate", A2_TEXT, "1", "--max-vertices", "-1"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: --max-vertices must be nonnegative, got -1\n"
+
+
+def test_mutate_negative_budget_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CLUSTERMUT_MAX_TERMS", "-3")
+    assert cli.main(["mutate", A2_TEXT, "1"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: CLUSTERMUT_MAX_TERMS must be nonnegative, got -3\n"
+
+
+def test_mutate_term_budget_names_the_step(capsys):
+    code = cli.main(["mutate", "0 5;-5 0", "1,2,1,2", "--max-terms", "10"])
+    assert code == cli.EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: term budget 10 exhausted at step 3 of 4\n"
+
+
+def test_mutate_default_budgets_keep_golden_output(capsys, monkeypatch):
+    golden = Path(__file__).parent / "golden"
+    cases = json.loads((golden / "cases.json").read_text())
+    names = [name for name, case in cases.items() if case["argv"][0] == "mutate"]
+    assert names
+    monkeypatch.setenv("CLUSTERMUT_MAX_VERTICES", str(cli.DEFAULT_MAX_VERTICES))
+    monkeypatch.setenv("CLUSTERMUT_MAX_TERMS", str(cli.DEFAULT_MAX_TERMS))
+    for name in names:
+        argv = cases[name]["argv"] + ["--max-terms", str(cli.DEFAULT_MAX_TERMS)]
+        code, out = run(argv, capsys)
+        assert (code, out) == (cases[name]["exit"], (golden / f"{name}.out").read_text())
 
 
 def test_budget_env_override(capsys, monkeypatch):

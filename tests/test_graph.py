@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from clustermut import (
     BudgetExceeded,
+    ClusterMutError,
     ContextMismatch,
     DegenerateSeed,
     ExchangeGraph,
@@ -15,6 +17,7 @@ from clustermut import (
     compare_by_paths,
     enumerate_graph,
     principal_seed,
+    random_skew_symmetrizable,
     reduced_paths,
 )
 from clustermut.verify import random_tropical_tuple
@@ -160,6 +163,24 @@ def test_finite_type_counts(name):
     assert g.degrees() == [n] * count
 
 
+def test_e6_counts():
+    # E6: 833 clusters (Fomin-Zelevinsky, Cluster algebras II), 6-regular
+    rows = [[0] * 6 for _ in range(6)]
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)):
+        rows[i][j], rows[j][i] = 1, -1
+    g = enumerate_graph(coefficient_free_seed(ExchangeMatrix.from_rows(rows)), 20)
+    assert (g.vertex_count, g.edge_count, g.complete) == (833, 2499, True)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_each_edge_mutated_once(name):
+    rows, count = FINITE_TYPES[name]
+    n = len(rows)
+    g = enumerate_graph(coefficient_free_seed(ExchangeMatrix.from_rows(rows)), 20)
+    assert g.stats["mutations"] == g.edge_count == n * count // 2
+    assert g.stats["mutations"] + g.stats["reused"] == n * g.vertex_count
+
+
 def test_principal_enumeration_matches_counts(a2, b2, g2, a3):
     for matrix, count in ((a2, 5), (b2, 6), (g2, 8), (a3, 14)):
         g = enumerate_graph(principal_seed(matrix), 12)
@@ -251,3 +272,129 @@ def test_reduced_paths_count_and_order():
 def test_compare_walks_every_reduced_path(a3):
     seed = coefficient_free_seed(a3)
     assert compare_by_paths(seed, seed, 4).nodes == len(reduced_paths(3, 4))
+
+
+# -- each edge computed once: differential test against mutating every direction -----
+
+
+def oracle_enumerate(initial, depth_limit, max_vertices=10 ** 6, max_terms=10 ** 7):
+    """Breadth-first closure that mutates every vertex in all n directions,
+    so each edge is computed from both of its endpoints."""
+    n = initial.n
+    rep0 = initial.canonicalized()
+    seeds, keys, depths, neighbors = [rep0], [rep0.key()], [0], [{}]
+    index = {keys[0]: 0}
+    term_total = sum(len(p.terms) for p in rep0.cluster)
+
+    def snapshot(complete):
+        frontier = [len(nbrs) < n for nbrs in neighbors]
+        return ExchangeGraph(seeds, keys, depths, frontier, neighbors, complete and not any(frontier))
+
+    layer, depth = [0], 0
+    while layer and depth < depth_limit:
+        new_layer = []
+        for u in layer:
+            for k in range(1, n + 1):
+                child = seeds[u].mutate(k)
+                ck = child.key()
+                idx = index.get(ck)
+                if idx is None:
+                    if len(seeds) + 1 > max_vertices:
+                        raise BudgetExceeded(f"vertex budget {max_vertices} exhausted", snapshot(False))
+                    term_total += sum(len(p.terms) for p in child.cluster)
+                    if term_total > max_terms:
+                        raise BudgetExceeded(f"term budget {max_terms} exhausted", snapshot(False))
+                    idx = len(seeds)
+                    seeds.append(child.canonicalized())
+                    keys.append(ck)
+                    index[ck] = idx
+                    depths.append(depth + 1)
+                    neighbors.append({})
+                    new_layer.append(idx)
+                neighbors[u][k] = idx
+        layer = new_layer
+        depth += 1
+    graph = snapshot(True)
+    graph.stats = {"vertices": len(seeds), "depth_reached": depth}
+    return graph
+
+
+def outcome(enumerate_fn, seed, depth, **budgets):
+    """(budget message or None, graph or partial graph, JSON bytes, DOT bytes)."""
+    try:
+        graph = enumerate_fn(seed, depth, **budgets)
+        message = None
+    except BudgetExceeded as exc:
+        graph, message = exc.partial, str(exc)
+    return message, graph, graph.export("json"), graph.export("dot")
+
+
+def assert_same_enumeration(seed, depth, **budgets):
+    expected = outcome(oracle_enumerate, seed, depth, **budgets)
+    got = outcome(enumerate_graph, seed, depth, **budgets)
+    assert got == expected
+    message, graph = got[0], got[1]
+    if message is None:
+        assert {k: graph.stats[k] for k in ("vertices", "depth_reached")} == expected[1].stats
+        # an edge between two expanded vertices is mutated from the first one
+        # expanded; an edge to a frontier vertex only from its other end
+        assert graph.stats["mutations"] == graph.edge_count
+        jobs = sum(len(nbrs) for nbrs in graph.neighbors)
+        assert graph.stats["mutations"] + graph.stats["reused"] == jobs
+    return message
+
+
+def random_seeds(rng, n):
+    """Coefficient-free, principal, random tropical and geometric extended
+    seeds over random skew-symmetrizable matrices."""
+    b = random_skew_symmetrizable(rng, n, 0, max_entry=1)
+    rank = rng.randint(1, 3)
+    yield coefficient_free_seed(b)
+    yield principal_seed(b)
+    yield Seed.initial_general(b, TropicalSemifield(rank), random_tropical_tuple(n, rank, rng))
+    yield Seed.initial_geometric(random_skew_symmetrizable(rng, n, rng.randint(1, 2), max_entry=1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumeration_matches_every_direction_oracle(n):
+    rng = random.Random(5000 + n)
+    for _ in range(3):
+        for seed in random_seeds(rng, n):
+            for depth in range(5):
+                assert_same_enumeration(seed, depth, max_terms=4000)
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_TYPES))
+def test_finite_types_match_every_direction_oracle(name):
+    matrix = ExchangeMatrix.from_rows(FINITE_TYPES[name][0])
+    assert assert_same_enumeration(coefficient_free_seed(matrix), 20) is None
+    assert assert_same_enumeration(principal_seed(matrix), 20) is None
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13])
+def test_budget_overrun_matches_every_direction_oracle(budget, markov, a3):
+    for seed in (coefficient_free_seed(markov), principal_seed(a3)):
+        assert assert_same_enumeration(seed, 6, max_vertices=budget) is not None
+        assert assert_same_enumeration(seed, 6, max_terms=4 * budget) is not None
+    # random seeds may be of finite type and fit the budget
+    for seed in random_seeds(random.Random(budget), 3):
+        assert_same_enumeration(seed, 6, max_vertices=budget)
+        assert_same_enumeration(seed, 6, max_terms=4 * budget)
+
+
+def test_conflicting_back_edge_raises(a2, monkeypatch):
+    # mutating the x2 side of the pentagon is made to land on the x1 side
+    # with x1' in the mutated slot, so two vertices claim x1''s slot there
+    root = coefficient_free_seed(a2)
+    x1_side = root.mutate(1)
+    x2_side = root.mutate(2).key()
+    real = Seed.mutate
+
+    def corrupted(self, k):
+        if self.key() == x2_side:
+            return x1_side.permuted((0, 1) if k == 1 else (1, 0))
+        return real(self, k)
+
+    monkeypatch.setattr(Seed, "mutate", corrupted)
+    with pytest.raises(ClusterMutError, match="broken exchange rule"):
+        enumerate_graph(root, 10)

@@ -147,6 +147,33 @@ def test_double_mutation_is_identity(a2):
     assert back.matrix == seed.matrix
 
 
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_seed_mutation_involution_along_random_paths(data):
+    # mu_k(mu_k(S)) = S at every seed of a random path, in every mode
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    n = rng.randint(2, 4)
+    b = random_skew_symmetrizable(rng, n, 0, max_entry=1)
+    rank = rng.randint(1, 3)
+    coeffs = tuple(
+        TropicalElement(tuple(rng.randint(-2, 2) for _ in range(rank))) for _ in range(n)
+    )
+    for seed in (
+        Seed.initial_geometric(random_skew_symmetrizable(rng, n, rng.randint(0, 2), max_entry=1)),
+        Seed.initial_general(b, TropicalSemifield(rank), coeffs),
+        coefficient_free_seed(b),
+    ):
+        # a fourth step can reach variables of thousands of terms on wild B
+        for _ in range(3):
+            for k in range(1, n + 1):
+                assert seed.mutate(k).mutate(k).key() == seed.key()
+            seed = seed.mutate(rng.randint(1, n))
+
+
+def test_toric_weights_computed_once_per_matrix(a2):
+    assert compute_toric_weights(a2) is compute_toric_weights(ExchangeMatrix.from_rows([[0, 1], [-1, 0]]))
+
+
 def test_general_mode_rejects_sf_cluster_mutation(a2):
     seed = Seed.initial_general(a2, SubtractionFreeSemifield(2))
     with pytest.raises(ContextMismatch):
