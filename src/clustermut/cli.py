@@ -34,27 +34,23 @@ from .graph import (
     DEFAULT_MAX_TERMS,
     DEFAULT_MAX_VERTICES,
     enumerate_graph,
-    reduced_paths,
 )
 from .seeds import (
     ExchangeMatrix,
     Seed,
     coefficient_free_seed,
-    int_det,
     principal_seed,
     validate_and_symmetrize,
 )
 from .semifield import TropicalElement, TropicalSemifield
 from .verify import (
-    INCONCLUSIVE,
     REFUTED,
     VerificationReport,
     check_adjacency,
     check_cluster_determines_seed,
-    check_g_specialization,
     check_graph_coincidence,
     check_laurent,
-    check_toric_invariance,
+    check_path_tree,
     merge_reports,
     random_tropical_tuple,
 )
@@ -99,8 +95,6 @@ def _read_matrix(source: str) -> ExchangeMatrix:
             except ValueError:
                 raise ParseError(f"line {lineno}, column {col}: {tok!r} is not an integer")
         rows.append(row)
-    if not rows:
-        raise ParseError("empty matrix")
     n = len(rows)
     for lineno, row in enumerate(rows, start=1):
         if len(row) != n:
@@ -330,25 +324,8 @@ def cmd_verify(args, out) -> int:
             reports.append(check_adjacency(graph))
     if "coincide" in wanted:
         reports.append(check_graph_coincidence(matrix, depth, args.seed))
-    path_depth = min(depth, 4)
-    if "g-spec" in wanted:
-        reports.extend(
-            check_g_specialization(matrix, path)
-            for path in reduced_paths(matrix.n, path_depth)
-        )
-    if "toric" in wanted:
-        if int_det(matrix.principal().rows) == 0:
-            reports.append(
-                VerificationReport(
-                    "toric", f"B={matrix.principal().to_json()}", INCONCLUSIVE,
-                    "det B = 0: nondegeneracy hypothesis unmet",
-                )
-            )
-        else:
-            reports.extend(
-                check_toric_invariance(matrix, path)
-                for path in reduced_paths(matrix.n, path_depth)
-            )
+    path_checks = [check for check in ("g-spec", "toric") if check in wanted]
+    reports.extend(check_path_tree(matrix, min(depth, 4), path_checks))
     if "laurent" in wanted:
         seed = build_seed(matrix, args.coeffs, args.seed)
         reports.append(

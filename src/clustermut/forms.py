@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadDirection, NotCompatible, ZeroRowUnsupported
+from .errors import BadDirection, ClusterMutError, NotCompatible, ZeroRowUnsupported
 from .seeds import ExchangeMatrix, Seed, validate_and_symmetrize
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -86,7 +86,8 @@ def compatible_form_space(matrix: ExchangeMatrix) -> FormBasis:
             rows[q][p] = Fraction(-1)
             basis.append(FormCoefficientMatrix(tuple(tuple(r) for r in rows), n, m))
     dim = sym.rho + m * (m - 1) // 2
-    assert len(basis) == dim
+    if len(basis) != dim:
+        raise ClusterMutError(f"basis has {len(basis)} forms, expected dimension {dim}")
     return FormBasis(tuple(basis), dim)
 
 

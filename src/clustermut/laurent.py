@@ -181,9 +181,6 @@ class LaurentPolynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
-
     def max_coeff_bits(self) -> int:
         """Bit length of the largest coefficient magnitude (0 for the zero polynomial)."""
         return max((abs(c).bit_length() for c in self.terms.values()), default=0)
@@ -332,13 +329,6 @@ class LaurentPolynomial:
                     else:
                         del rem[t]
         return LaurentPolynomial(self.vars, _unpack(quo, tuple(map(sub, mn, md)), width))
-
-    def divides(self, other: "LaurentPolynomial") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except NotDivisible:
-            return False
 
     def derivative(self, index: int) -> "LaurentPolynomial":
         """Formal partial derivative with respect to the variable at
@@ -588,13 +578,6 @@ class LaurentFraction:
     def as_polynomial(self) -> LaurentPolynomial:
         """Exact Laurent value; NotDivisible if the denominator does not clear."""
         return self.num.exact_div(self.den)
-
-    def is_polynomial(self) -> bool:
-        try:
-            self.as_polynomial()
-            return True
-        except NotDivisible:
-            return False
 
     def __eq__(self, other):
         if not isinstance(other, LaurentFraction):

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .errors import (
     BadDirection,
+    ClusterMutError,
     ContextMismatch,
     DegenerateSeed,
     NondegenerateRequired,
@@ -49,6 +50,8 @@ class ExchangeMatrix:
     m: int
 
     def __post_init__(self):
+        if self.n == 0:
+            raise ParseError("empty matrix")
         if len(self.rows) != self.n or any(len(r) != self.n + self.m for r in self.rows):
             raise ParseError(f"matrix shape must be {self.n} x {self.n + self.m}")
 
@@ -110,11 +113,16 @@ class ExchangeMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "ExchangeMatrix":
+        """m and the entries must be JSON integers, not floats or booleans."""
         try:
             obj = json.loads(text)
-            return cls.from_rows(obj["rows"], int(obj["m"]))
+            rows, m = obj["rows"], obj["m"]
+            bad = [x for x in [m, *(x for r in rows for x in r)] if type(x) is not int]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix JSON: {exc}") from exc
+        if bad:
+            raise ParseError(f"bad matrix JSON: {json.dumps(bad[0])} is not an integer")
+        return cls.from_rows(rows, m)
 
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in r) for r in self.rows)
@@ -235,9 +243,9 @@ def compute_toric_weights(matrix: ExchangeMatrix) -> tuple[tuple[int, ...], ...]
 
     First n entries of w^j are the jth column of det(B) * B^{-1} (the
     adjugate column; the row form fails the kernel condition), last n are
-    -det(B) * e_j.  The weights are computed once per matrix, and the
-    kernel identity B_pr (w^j)^T = 0 is asserted on every weight set
-    computed.
+    -det(B) * e_j.  The weights are computed once per matrix, and every
+    weight set computed is checked against the kernel identity
+    B_pr (w^j)^T = 0 (ClusterMutError otherwise).
     """
     b = matrix.principal().rows
     n = matrix.n
@@ -250,10 +258,8 @@ def compute_toric_weights(matrix: ExchangeMatrix) -> tuple[tuple[int, ...], ...]
         w = tuple(adj[i][j] for i in range(n)) + tuple(
             -det if i == j else 0 for i in range(n)
         )
-        for i in range(n):
-            assert sum(b[i][t] * w[t] for t in range(n)) + w[n + i] == 0, (
-                "kernel condition failed"
-            )
+        if any(sum(b[i][t] * w[t] for t in range(n)) + w[n + i] for i in range(n)):
+            raise ClusterMutError(f"kernel condition failed for weight vector {j + 1}")
         weights.append(w)
     return tuple(weights)
 

@@ -19,6 +19,7 @@ from .graph import (
     DEFAULT_MAX_TERMS,
     DEFAULT_MAX_VERTICES,
     ExchangeGraph,
+    _reduced_tree,
     compare_by_paths,
     enumerate_graph,
 )
@@ -243,9 +244,13 @@ def check_g_specialization(matrix: ExchangeMatrix, path: tuple[int, ...]) -> Ver
     first n exponents, and terms that land on the same monomial add up."""
     t0 = time.monotonic()
     b = matrix.principal()
-    instance = f"B={b.to_json()} path={list(path)}"
     pr = principal_seed(b).mutate_path(path)
     cf = coefficient_free_seed(b).mutate_path(path)
+    return _g_spec_verdict(b, path, pr, cf, t0)
+
+
+def _g_spec_verdict(b: ExchangeMatrix, path, pr: Seed, cf: Seed, t0: float) -> VerificationReport:
+    instance = f"B={b.to_json()} path={list(path)}"
     for i in range(b.n):
         terms: dict[tuple[int, ...], int] = {}
         for exps, coeff in pr.cluster[i].terms.items():
@@ -271,9 +276,13 @@ def check_toric_invariance(matrix: ExchangeMatrix, path: tuple[int, ...]) -> Ver
     weight degree (e.w^1, ..., e.w^n); no t parameter is ever adjoined."""
     t0 = time.monotonic()
     b = matrix.principal()
-    instance = f"B={b.to_json()} path={list(path)}"
     weights = compute_toric_weights(b)
     seed = principal_seed(b).mutate_path(path)
+    return _toric_verdict(b, path, weights, seed, t0)
+
+
+def _toric_verdict(b: ExchangeMatrix, path, weights, seed: Seed, t0: float) -> VerificationReport:
+    instance = f"B={b.to_json()} path={list(path)}"
     for i in range(b.n):
         degrees = sorted({_weight_degree(exps, weights) for exps in seed.cluster[i].terms})
         if len(degrees) > 1:
@@ -285,6 +294,27 @@ def check_toric_invariance(matrix: ExchangeMatrix, path: tuple[int, ...]) -> Ver
 def _weight_degree(exps: tuple[int, ...], weights) -> tuple[int, ...]:
     """(e.w^1, ..., e.w^n) for the exponent vector e over x1..x2n."""
     return tuple(sum(e * x for e, x in zip(exps, w)) for w in weights)
+
+
+def check_path_tree(matrix: ExchangeMatrix, depth: int, checks) -> list[VerificationReport]:
+    """The reports of check_g_specialization, then of check_toric_invariance
+    (those named in checks), for every reduced path up to depth in
+    breadth-first order.  One walk of the tree serves both, each node
+    mutating its parent's seeds once, so a report times its verdict only.
+    For det B = 0 toric gives one inconclusive report instead."""
+    b = matrix.principal()
+    g_spec = "g-spec" in checks
+    weights = compute_toric_weights(b) if "toric" in checks and int_det(b.rows) else None
+    roots = (principal_seed(b), coefficient_free_seed(b)) if g_spec else (principal_seed(b),)
+    nodes = _reduced_tree(b.n, depth, roots) if g_spec or weights else []
+    reports = [_g_spec_verdict(b, p, *seeds, time.monotonic()) for p, seeds in nodes] if g_spec else []
+    if weights:
+        reports += [_toric_verdict(b, p, weights, seeds[0], time.monotonic()) for p, seeds in nodes]
+    elif "toric" in checks:
+        reports.append(VerificationReport(
+            "toric", f"B={b.to_json()}", INCONCLUSIVE, "det B = 0: nondegeneracy hypothesis unmet"
+        ))
+    return reports
 
 
 # -- Laurent phenomenon ------------------------------------------------------------

@@ -297,3 +297,25 @@ def test_zero_budget_is_legal(capsys, monkeypatch):
     code, out = run(["verify", A2_TEXT, "--check", "laurent"], capsys)
     assert code == cli.EXIT_OK
     assert out.startswith("laurent: inconclusive")
+
+
+def test_json_matrix_with_float_entry_is_usage_error(capsys):
+    # 1.5 used to be truncated to 1, printing the basis of another matrix
+    code, err = usage_error(["forms", '{"n":2,"m":0,"rows":[[0,1.5],[-1,0]]}'], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: bad matrix JSON: 1.5 is not an integer\n"
+
+
+def test_json_matrix_with_boolean_entry_is_usage_error(capsys):
+    code, err = usage_error(["forms", '{"n":2,"m":0,"rows":[[0,true],[-1,0]]}'], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: bad matrix JSON: true is not an integer\n"
+
+
+def test_json_matrix_without_rows_is_usage_error(capsys):
+    # an empty matrix used to confirm every check; the text path rejects it too
+    code = cli.main(["verify", '{"m":0,"rows":[]}'])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: empty matrix\n"

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clustermut import (
     BadDirection,
+    ClusterMutError,
     ExchangeMatrix,
     FormCoefficientMatrix,
     LaurentFraction,
@@ -20,6 +22,7 @@ from clustermut import (
     validate_and_symmetrize,
     verify_compatibility,
 )
+from clustermut import forms
 
 
 def test_a2_dimension_and_basis(a2):
@@ -39,6 +42,15 @@ def test_stable_pair_dimension(a2):
     ext = ExchangeMatrix.from_rows([[0, 1, 1, 0], [-1, 0, 0, 1]], 2)
     space = compatible_form_space(ext)
     assert space.dimension == 1 + 1  # rho(B) + C(2, 2)
+
+
+def test_basis_size_is_checked_against_the_dimension(a2, monkeypatch):
+    # a symmetrizer whose block count disagrees with its blocks
+    sym = validate_and_symmetrize(a2)
+    fake = SimpleNamespace(d=sym.d, blocks=sym.blocks, rho=sym.rho + 1)
+    monkeypatch.setattr(forms, "validate_and_symmetrize", lambda _m: fake)
+    with pytest.raises(ClusterMutError, match="basis has 1 forms, expected dimension 2"):
+        compatible_form_space(a2)
 
 
 def test_zero_row_rejected():

@@ -1,6 +1,7 @@
 import pytest
 
 from clustermut import (
+    ClusterMutError,
     ExchangeMatrix,
     LaurentPolynomial,
     NotDivisible,
@@ -21,7 +22,7 @@ from clustermut import (
     random_nondegenerate,
     reduced_paths,
 )
-from clustermut import cli, verify
+from clustermut import cli, seeds, verify
 from clustermut.verify import VerificationReport
 
 
@@ -107,6 +108,16 @@ def test_b2_antipodal_clusters_disjoint(b2):
     assert disjoint == 9
 
 
+def test_adjacency_refutes_a_deleted_edge(a3):
+    g = graph_of(a3)
+    u, v, _ = g.edges()[0]
+    for x, y in ((u, v), (v, u)):
+        g.neighbors[x] = {k: w for k, w in g.neighbors[x].items() if w != y}
+    report = check_adjacency(g)
+    assert report.verdict == "refuted"
+    assert report.witness == f"vertices {u}, {v}: 2 common variables, edge absent"
+
+
 # -- coefficient independence ----------------------------------------------------
 
 
@@ -121,6 +132,34 @@ def test_coincidence_records_degenerate_instances(a3):
     r = check_graph_coincidence(a3, 5)
     assert r.verdict == "confirmed"
     assert r.stats["nondegenerate"] is False
+
+
+class Unglued(Seed):
+    """A seed keyed without canonicalizing, so two paths that reach one
+    seed with its variables in other slots no longer glue."""
+
+    def mutate(self, k):
+        s = Seed.mutate(self, k)
+        return Unglued(s.matrix, s.cluster, s.mode, s.semifield, s.coeffs, s.vars)
+
+    def key(self):
+        return repr((self.matrix.rows, [str(p) for p in self.cluster])).encode()
+
+
+def test_coincidence_refutes_an_unglued_other_side(a2, monkeypatch):
+    real = verify.coefficient_free_seed
+
+    def unglued(b):
+        s = real(b)
+        return Unglued(s.matrix, s.cluster, s.mode, s.semifield, s.coeffs, s.vars)
+
+    monkeypatch.setattr(verify, "coefficient_free_seed", unglued)
+    report = check_graph_coincidence(a2, 6)
+    assert report.verdict == "refuted"
+    # mu1 mu2 mu1 and mu2 mu1 reach one pentagon vertex with x1, x2 swapped
+    assert report.witness == (
+        "principal vs coefficient-free: paths [1, 2, 1] and [2, 1] glued on one side only"
+    )
 
 
 # -- G-specialization ---------------------------------------------------------------
@@ -170,6 +209,14 @@ def test_toric_empty_path_scales_by_own_weights(a2):
         (exps, coeff), = ratio.terms.items()
         assert coeff == 1
         assert exps[4:] == (weights[0][i], weights[1][i])
+
+
+def test_toric_weights_raise_on_a_broken_kernel_condition(monkeypatch):
+    # compute_toric_weights is cached, so use a matrix no other test weighs
+    b = ExchangeMatrix.from_rows([[0, 9], [-4, 0]])
+    monkeypatch.setattr(seeds, "int_adjugate", lambda rows: [[1, 0], [0, 1]])
+    with pytest.raises(ClusterMutError, match="kernel condition failed for weight vector 1"):
+        compute_toric_weights(b)
 
 
 def test_toric_invariance_paths(a2):
@@ -313,6 +360,77 @@ def test_g_specialization_refutes_other_coefficient_free_matrix(a2, monkeypatch,
     assert capsys.readouterr().out == f"g-spec: refuted [{witness}]\n"
 
 
+# -- one walk for the path checks ----------------------------------------------------
+
+
+def report_fields(reports):
+    return [(r.check, r.instance, r.verdict, r.witness, r.stats) for r in reports]
+
+
+def per_path_reports(b, depth, checks):
+    public = {"g-spec": check_g_specialization, "toric": check_toric_invariance}
+    return [public[check](b, path) for check in checks for path in reduced_paths(b.n, depth)]
+
+
+def assert_walk_matches_per_path(b, depth, checks):
+    walked = verify.check_path_tree(b, depth, checks)
+    assert report_fields(walked) == report_fields(per_path_reports(b, depth, checks))
+    return {r.verdict for r in walked}
+
+
+@pytest.mark.parametrize("n, depth", [(2, 5), (4, 3)])
+def test_path_tree_matches_per_path_checks(n, depth, rng, monkeypatch):
+    corrupted = set()
+    for _ in range(4):
+        b = random_nondegenerate(rng, n, max_entry=1)
+        for checks in (["g-spec", "toric"], ["toric"], ["g-spec"]):
+            assert assert_walk_matches_per_path(b, depth, checks) == {"confirmed"}
+
+        # one weight entry off by one
+        bad = [list(w) for w in compute_toric_weights(b)]
+        bad[rng.randrange(n)][rng.randrange(2 * n)] += rng.choice((-1, 1))
+        bad = tuple(tuple(w) for w in bad)
+        monkeypatch.setattr(verify, "compute_toric_weights", lambda _b: bad)
+        corrupted |= assert_walk_matches_per_path(b, depth, ["g-spec", "toric"])
+        monkeypatch.undo()
+
+        # the coefficient-free side built from another matrix
+        other = random_nondegenerate(rng, n, max_entry=1)
+        monkeypatch.setattr(verify, "coefficient_free_seed", lambda _b: coefficient_free_seed(other))
+        corrupted |= assert_walk_matches_per_path(b, depth, ["g-spec", "toric"])
+        monkeypatch.undo()
+    assert "refuted" in corrupted
+
+
+def test_path_tree_matches_per_path_checks_on_degenerate_a3(monkeypatch):
+    b = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, -1], [0, 1, 0]])
+    assert assert_walk_matches_per_path(b, 4, ["g-spec"]) == {"confirmed"}
+    other = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+    monkeypatch.setattr(verify, "coefficient_free_seed", lambda _b: coefficient_free_seed(other))
+    assert "refuted" in assert_walk_matches_per_path(b, 4, ["g-spec"])
+
+
+def test_path_checks_mutate_each_tree_edge_once(monkeypatch, capsys):
+    # A4 has 161 reduced paths of length <= 4, so 160 tree edges per root
+    calls = []
+    real = Seed.mutate
+
+    def counted(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(Seed, "mutate", counted)
+    a4 = "0 1 0 0;-1 0 1 0;0 -1 0 1;0 0 -1 0"
+    verify.check_path_tree(cli.load_matrix(a4), 4, ["g-spec", "toric"])
+    assert len(calls) == 320
+    # g-spec walks the principal and coefficient-free roots, toric only the first
+    for check, count in (("g-spec", 320), ("toric", 160)):
+        calls.clear()
+        assert cli.main(["verify", a4, "--check", check, "--depth", "4"]) == cli.EXIT_OK
+        assert len(calls) == count
+    assert capsys.readouterr().out == "g-spec: confirmed\ntoric: confirmed\n"
+
+
 # -- Laurent check -----------------------------------------------------------------------
 
 
@@ -327,6 +445,25 @@ def test_laurent_budget_is_inconclusive(markov):
     assert report.verdict == "inconclusive"
 
 
+def test_laurent_refutes_an_injected_division_failure(a2, monkeypatch, capsys):
+    real = LaurentPolynomial.exact_div
+
+    def failing(self, other):
+        # from depth 2 on, an exchange binomial over a fraction has three terms
+        if len(self.terms) > 2:
+            raise NotDivisible("injected: leading monomial not divisible")
+        return real(self, other)
+
+    monkeypatch.setattr(LaurentPolynomial, "exact_div", failing)
+    report = check_laurent(coefficient_free_seed(a2), 1)
+    assert report.verdict == "confirmed"
+    report = check_laurent(coefficient_free_seed(a2), 2)
+    assert report.verdict == "refuted"
+    assert report.witness == "injected: leading monomial not divisible"
+    assert cli.main(["verify", "0 1;-1 0", "--check", "laurent"]) == cli.EXIT_REFUTED
+    assert capsys.readouterr().out == f"laurent: refuted [{report.witness}]\n"
+
+
 # -- y-hat propagation ---------------------------------------------------------------------
 
 
@@ -337,6 +474,17 @@ def test_yhat_propagation_a2_paths(a2):
         assert check_yhat_propagation(cf, path).verdict == "confirmed"
     for path in reduced_paths(2, 3):
         assert check_yhat_propagation(pr, path).verdict == "confirmed"
+
+
+def test_yhat_refutes_a_pattern_of_another_matrix(a2, monkeypatch):
+    doubled = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
+    real = verify.y_pattern_tuple
+    monkeypatch.setattr(verify, "y_pattern_tuple", lambda _m, path: real(doubled, path))
+    initial = coefficient_free_seed(a2)
+    assert check_yhat_propagation(initial, ()).verdict == "confirmed"
+    report = check_yhat_propagation(initial, (1,))
+    assert report.verdict == "refuted"
+    assert report.witness == "yhat_2: pattern gives (x2^2 + 2*x2 + 1) / (x1), seed gives x1^-1*x2 + x1^-1"
 
 
 # -- merging -----------------------------------------------------------------------------
