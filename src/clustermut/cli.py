@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+import time
 
 from .errors import (
     BadDirection,
@@ -46,11 +47,11 @@ from .semifield import TropicalElement, TropicalSemifield
 from .verify import (
     REFUTED,
     VerificationReport,
+    _laurent_verdict,
     check_adjacency,
     check_cluster_determines_seed,
-    check_graph_coincidence,
     check_laurent,
-    check_path_tree,
+    check_tree,
     merge_reports,
     random_tropical_tuple,
 )
@@ -322,15 +323,17 @@ def cmd_verify(args, out) -> int:
             reports.append(check_cluster_determines_seed(graph))
         if "adjacency" in wanted:
             reports.append(check_adjacency(graph))
-    if "coincide" in wanted:
-        reports.append(check_graph_coincidence(matrix, depth, args.seed))
-    path_checks = [check for check in ("g-spec", "toric") if check in wanted]
-    reports.extend(check_path_tree(matrix, min(depth, 4), path_checks))
-    if "laurent" in wanted:
+        # the graph enumerated without a budget or division error, which is
+        # all that check_laurent would catch enumerating it again
+        if "laurent" in wanted:
+            reports.append(_laurent_verdict(seed, depth, graph, time.monotonic()))
+    elif "laurent" in wanted:
         seed = build_seed(matrix, args.coeffs, args.seed)
         reports.append(
             check_laurent(seed, depth, max_vertices=max_vertices, max_terms=max_terms)
         )
+    tree_checks = [check for check in ("coincide", "g-spec", "toric") if check in wanted]
+    reports.extend(check_tree(matrix, depth, tree_checks, args.seed, path_depth=4))
     merged = merge_reports(reports)
     if args.format == "json":
         out.write(

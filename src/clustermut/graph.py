@@ -203,7 +203,7 @@ def enumerate_graph(
     n = initial.n
     rep0 = initial.canonicalized()
     seeds = [rep0]
-    keys = [rep0.key()]
+    keys = [rep0._canonical_key()]
     index = {keys[0]: 0}
     depths = [0]
     neighbors: list[dict[int, int]] = [{}]
@@ -228,11 +228,11 @@ def enumerate_graph(
                     reused += 1
                     neighbors[u][k] = idx
                     continue
-                # key() canonicalizes on its own; only a new vertex keeps
-                # the canonical form
                 child = seeds[u].mutate(k)
                 mutations += 1
-                ck = child.key()
+                new_var = child.cluster[k - 1]
+                child = child.canonicalized()
+                ck = child._canonical_key()
                 idx = index.get(ck)
                 if idx is None:
                     if len(seeds) + 1 > max_vertices:
@@ -245,7 +245,7 @@ def enumerate_graph(
                             f"term budget {max_terms} exhausted", snapshot(False)
                         )
                     idx = len(seeds)
-                    seeds.append(child.canonicalized())
+                    seeds.append(child)
                     keys.append(ck)
                     index[ck] = idx
                     depths.append(depth + 1)
@@ -253,7 +253,7 @@ def enumerate_graph(
                     back.append({})
                     new_layer.append(idx)
                 # mutating idx at the slot of the new variable returns to u
-                j = seeds[idx].cluster.index(child.cluster[k - 1]) + 1
+                j = child.cluster.index(new_var) + 1
                 other = back[idx].get(j, neighbors[idx].get(j))
                 if other is not None:
                     raise ClusterMutError(
@@ -286,21 +286,46 @@ class LockstepResult:
     b_covers_a: bool
 
 
-def _reduced_tree(
-    n: int, depth: int, roots: tuple[Seed, ...] = ()
-) -> list[tuple[tuple[int, ...], tuple[Seed, ...]]]:
-    """(path, seeds) for every mutation path up to the given length with no
-    immediate backtracking, in breadth-first order.  The seeds are the roots
-    mutated along the path; each node mutates its parent's seeds once."""
-    nodes: list[tuple[tuple[int, ...], tuple[Seed, ...]]] = [((), roots)]
-    # the loop visits the children it appends, so it walks the whole tree
-    for path, seeds in nodes:
-        if len(path) < depth:
-            last = path[-1] if path else 0
+def _reduced_tree(n: int, depth: int, roots: tuple[Seed, ...] = ()):
+    """Yield (path, seeds) for every mutation path up to the given length
+    with no immediate backtracking, in breadth-first order, as the nodes are
+    made.  The seeds are the roots mutated along the path: each node mutates
+    its parent's seeds once, so only the level being expanded is kept."""
+    level = [((), roots)]
+    yield level[0]
+    for length in range(1, depth + 1):
+        parents, level = level, []
+        for path, seeds in parents:
             for k in range(1, n + 1):
-                if k != last:
-                    nodes.append((path + (k,), tuple(s.mutate(k) for s in seeds)))
-    return nodes
+                if not path or k != path[-1]:
+                    node = (path + (k,), tuple(s.mutate(k) for s in seeds))
+                    if length < depth:
+                        level.append(node)
+                    yield node
+
+
+def _glued(nodes, labels: list[list[int]]):
+    """Yield the tree nodes, appending to labels[i] the first node whose
+    seed i has the key of this node's seed i; later seeds are not keyed."""
+    first: list[dict[bytes, int]] = [{} for _ in labels]
+    for v, node in enumerate(nodes):
+        for seen, side, seed in zip(first, labels, node[1]):
+            side.append(seen.setdefault(seed.key(), v))
+        yield node
+
+
+def _lockstep(paths: list, labels_a: list[int], labels_b: list[int]) -> LockstepResult:
+    """Compare two sides' labels of the same tree nodes; the first node
+    labelled differently diverges, paired with the node one side glues it to."""
+    pairs = list(zip(labels_a, labels_b))
+    v = next((v for v, (la, lb) in enumerate(pairs) if la != lb), None)
+    return LockstepResult(
+        v is None,
+        None if v is None else (paths[v], paths[min(pairs[v])]),
+        len(paths),
+        all(labels_b[la] == lb for la, lb in pairs),
+        all(labels_a[lb] == la for la, lb in pairs),
+    )
 
 
 def compare_by_paths(a: Seed, b: Seed, depth: int) -> LockstepResult:
@@ -317,30 +342,9 @@ def compare_by_paths(a: Seed, b: Seed, depth: int) -> LockstepResult:
         raise ContextMismatch("seeds have different principal exchange matrices")
     if depth < 0:
         raise ContextMismatch("depth must be nonnegative")
-    nodes = _reduced_tree(a.n, depth, (a, b))
-    first_a: dict[bytes, int] = {}
-    first_b: dict[bytes, int] = {}
-    labels_a: list[int] = []
-    labels_b: list[int] = []
-    for v, (_, (sa, sb)) in enumerate(nodes):
-        labels_a.append(first_a.setdefault(sa.key(), v))
-        labels_b.append(first_b.setdefault(sb.key(), v))
-
-    divergence = None
-    coincide = True
-    a_covers_b = True
-    b_covers_a = True
-    for v in range(len(nodes)):
-        la, lb = labels_a[v], labels_b[v]
-        if la != lb and coincide:
-            coincide = False
-            partner = min(la, lb)
-            divergence = (nodes[v][0], nodes[partner][0])
-        if labels_b[la] != labels_b[v]:
-            a_covers_b = False
-        if labels_a[lb] != labels_a[v]:
-            b_covers_a = False
-    return LockstepResult(coincide, divergence, len(nodes), a_covers_b, b_covers_a)
+    labels: list[list[int]] = [[], []]
+    paths = [path for path, _ in _glued(_reduced_tree(a.n, depth, (a, b)), labels)]
+    return _lockstep(paths, *labels)
 
 
 def reduced_paths(n: int, max_len: int) -> list[tuple[int, ...]]:

@@ -230,11 +230,6 @@ class LaurentPolynomial:
                 terms[k] = get(k, 0) + ca * cb
         return LaurentPolynomial(self.vars, _unpack(terms, tuple(map(add, la, lb)), width))
 
-    def scale(self, c: int) -> "LaurentPolynomial":
-        if c == 0:
-            return LaurentPolynomial.zero(self.vars)
-        return LaurentPolynomial(self.vars, {e: k * c for e, k in self.terms.items()})
-
     def shift(self, exps: Sequence[int]) -> "LaurentPolynomial":
         """Multiply by the monomial with the given exponent vector."""
         d = tuple(exps)

@@ -113,15 +113,19 @@ class ExchangeMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "ExchangeMatrix":
-        """m and the entries must be JSON integers, not floats or booleans."""
+        """m, the entries and n, when given, must be JSON integers, not
+        floats or booleans, and n must be the number of rows."""
         try:
             obj = json.loads(text)
             rows, m = obj["rows"], obj["m"]
-            bad = [x for x in [m, *(x for r in rows for x in r)] if type(x) is not int]
+            n = obj.get("n", len(rows))
+            bad = [x for x in [n, m, *(x for r in rows for x in r)] if type(x) is not int]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix JSON: {exc}") from exc
         if bad:
             raise ParseError(f"bad matrix JSON: {json.dumps(bad[0])} is not an integer")
+        if n != len(rows):
+            raise ParseError(f"bad matrix JSON: n is {n} but there are {len(rows)} rows")
         return cls.from_rows(rows, m)
 
     def __str__(self):
@@ -207,21 +211,21 @@ def coefficients_from_extended(matrix: ExchangeMatrix) -> tuple[TropicalElement,
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by cofactor expansion; fine for the small n here."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    rest = [r[1:] for r in rows]
-    sign = 1
-    for i in range(n):
-        if rows[i][0]:
-            minor = [rest[r] for r in range(n) if r != i]
-            total += sign * rows[i][0] * int_det(minor)
-        sign = -sign
-    return total
+    """Exact determinant by Bareiss fraction-free elimination (Math. Comp.
+    1968): step k leaves (k+1) x (k+1) minors, so each division is exact."""
+    a = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if a else 1
 
 
 def int_adjugate(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -462,11 +466,14 @@ class Seed:
     def key(self) -> bytes:
         """Stable byte string identifying the seed up to simultaneous
         permutation of cluster, coefficients, and matrix."""
-        c = self.canonicalized()
-        parts = [c.mode, repr(c.vars), c.matrix.to_json()]
-        parts.extend(str(p) for p in c.cluster)
-        if c.coeffs is not None:
-            parts.extend(str(y) for y in c.coeffs)
+        return self.canonicalized()._canonical_key()
+
+    def _canonical_key(self) -> bytes:
+        """key() of a seed that is already canonicalized."""
+        parts = [self.mode, repr(self.vars), self.matrix.to_json()]
+        parts.extend(str(p) for p in self.cluster)
+        if self.coeffs is not None:
+            parts.extend(str(y) for y in self.coeffs)
         return "\x1f".join(parts).encode()
 
     def __str__(self):

@@ -14,13 +14,14 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, NotDivisible
+from .errors import BudgetExceeded, ContextMismatch, NotDivisible
 from .graph import (
     DEFAULT_MAX_TERMS,
     DEFAULT_MAX_VERTICES,
     ExchangeGraph,
+    _glued,
+    _lockstep,
     _reduced_tree,
-    compare_by_paths,
     enumerate_graph,
 )
 from .laurent import LaurentFraction, LaurentPolynomial
@@ -207,30 +208,7 @@ def check_graph_coincidence(matrix: ExchangeMatrix, depth: int, rng_seed: int = 
     The nondegeneracy hypothesis is recorded but the comparison runs either
     way; a divergence is returned as the first pair of glued paths on one
     side only."""
-    t0 = time.monotonic()
-    b = matrix.principal()
-    det = int_det(b.rows)
-    instance = f"B={b.to_json()} depth={depth} det={det}"
-    pr = principal_seed(b)
-    cf = coefficient_free_seed(b)
-    rng = random.Random(rng_seed)
-    tropical = Seed.initial_general(
-        b, TropicalSemifield(b.n), random_tropical_tuple(b.n, b.n, rng)
-    )
-    stats = {"nondegenerate": det != 0, "nodes": 0}
-    for name, other in (("coefficient-free", cf), ("random-tropical", tropical)):
-        result = compare_by_paths(pr, other, depth)
-        stats["nodes"] += result.nodes
-        stats[f"covers:{name}"] = result.a_covers_b
-        if not result.coincide:
-            witness = (
-                f"principal vs {name}: paths {list(result.divergence[0])} and "
-                f"{list(result.divergence[1])} glued on one side only"
-            )
-            return _timed(
-                VerificationReport("coincide", instance, REFUTED, witness, stats), t0
-            )
-    return _timed(VerificationReport("coincide", instance, CONFIRMED, None, stats), t0)
+    return check_tree(matrix, depth, ("coincide",), rng_seed)[0]
 
 
 # -- G-specialization ----------------------------------------------------------
@@ -299,22 +277,65 @@ def _weight_degree(exps: tuple[int, ...], weights) -> tuple[int, ...]:
 def check_path_tree(matrix: ExchangeMatrix, depth: int, checks) -> list[VerificationReport]:
     """The reports of check_g_specialization, then of check_toric_invariance
     (those named in checks), for every reduced path up to depth in
-    breadth-first order.  One walk of the tree serves both, each node
-    mutating its parent's seeds once, so a report times its verdict only.
+    breadth-first order, read off one walk of the tree by check_tree.
     For det B = 0 toric gives one inconclusive report instead."""
+    return check_tree(matrix, depth, [check for check in ("g-spec", "toric") if check in checks])
+
+
+def check_tree(
+    matrix: ExchangeMatrix, depth: int, checks, rng_seed: int = 0, path_depth: int | None = None
+) -> list[VerificationReport]:
+    """The report of check_graph_coincidence over the paths up to depth,
+    then those of check_path_tree over the paths up to min(depth,
+    path_depth), for the checks named, read off one walk of the reduced-path
+    tree.  The walk mutates the principal seed, plus the coefficient-free
+    one for coincide or g-spec, plus the random tropical one for coincide."""
+    t0 = time.monotonic()
     b = matrix.principal()
-    g_spec = "g-spec" in checks
-    weights = compute_toric_weights(b) if "toric" in checks and int_det(b.rows) else None
-    roots = (principal_seed(b), coefficient_free_seed(b)) if g_spec else (principal_seed(b),)
-    nodes = _reduced_tree(b.n, depth, roots) if g_spec or weights else []
-    reports = [_g_spec_verdict(b, p, *seeds, time.monotonic()) for p, seeds in nodes] if g_spec else []
-    if weights:
-        reports += [_toric_verdict(b, p, weights, seeds[0], time.monotonic()) for p, seeds in nodes]
-    elif "toric" in checks:
-        reports.append(VerificationReport(
+    det = int_det(b.rows)
+    coincide, g_spec = "coincide" in checks, "g-spec" in checks
+    if coincide and depth < 0:
+        raise ContextMismatch("depth must be nonnegative")
+    path_depth = depth if path_depth is None else min(depth, path_depth)
+    weights = compute_toric_weights(b) if "toric" in checks and det else None
+    roots = (principal_seed(b),)
+    if coincide or g_spec:
+        roots += (coefficient_free_seed(b),)
+    if coincide:
+        rng = random.Random(rng_seed)
+        tropical = random_tropical_tuple(b.n, b.n, rng)
+        roots += (Seed.initial_general(b, TropicalSemifield(b.n), tropical),)
+    labels: list[list[int]] = [[] for _ in roots] if coincide else []
+    paths, reports, toric = [], [], []
+    walked = coincide or g_spec or weights
+    tree = _reduced_tree(b.n, depth if coincide else path_depth, roots) if walked else ()
+    for path, seeds in _glued(tree, labels):
+        paths.append(path)
+        if g_spec and len(path) <= path_depth:
+            reports.append(_g_spec_verdict(b, path, *seeds[:2], time.monotonic()))
+        if weights and len(path) <= path_depth:
+            toric.append(_toric_verdict(b, path, weights, seeds[0], time.monotonic()))
+    if coincide:
+        instance = f"B={b.to_json()} depth={depth} det={det}"
+        stats = {"nondegenerate": det != 0, "nodes": 0}
+        verdict, witness = CONFIRMED, None
+        for name, other in zip(("coefficient-free", "random-tropical"), labels[1:]):
+            result = _lockstep(paths, labels[0], other)
+            stats["nodes"] += result.nodes
+            stats[f"covers:{name}"] = result.a_covers_b
+            if not result.coincide:
+                verdict, witness = REFUTED, (
+                    f"principal vs {name}: paths {list(result.divergence[0])} and "
+                    f"{list(result.divergence[1])} glued on one side only"
+                )
+                break
+        report = VerificationReport("coincide", instance, verdict, witness, stats)
+        reports.insert(0, _timed(report, t0))
+    if "toric" in checks and not det:
+        toric.append(VerificationReport(
             "toric", f"B={b.to_json()}", INCONCLUSIVE, "det B = 0: nondegeneracy hypothesis unmet"
         ))
-    return reports
+    return reports + toric
 
 
 # -- Laurent phenomenon ------------------------------------------------------------
@@ -342,6 +363,12 @@ def check_laurent(
     except BudgetExceeded as exc:
         stats = {"vertices": exc.partial.vertex_count if exc.partial else 0}
         return _timed(VerificationReport("laurent", instance, INCONCLUSIVE, str(exc), stats), t0)
+    return _laurent_verdict(initial, depth, graph, t0)
+
+
+def _laurent_verdict(initial: Seed, depth: int, graph: ExchangeGraph, t0: float) -> VerificationReport:
+    """check_laurent's report on the graph it enumerated without error."""
+    instance = f"B={initial.matrix.to_json()} depth={depth}"
     bits = 0
     for seed in graph.seeds:
         for p in seed.cluster:

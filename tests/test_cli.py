@@ -153,7 +153,7 @@ def test_budget_env_override(capsys, monkeypatch):
 
 def test_refuted_verification_exits_one(capsys, monkeypatch):
     refuted = VerificationReport("coincide", "forced", "refuted", "synthetic witness")
-    monkeypatch.setattr(cli, "check_graph_coincidence", lambda *a, **k: refuted)
+    monkeypatch.setattr(cli, "check_tree", lambda *a, **k: [refuted])
     code, out = run(["verify", A2_TEXT, "--check", "coincide"], capsys)
     assert code == cli.EXIT_REFUTED
     assert "refuted" in out
@@ -319,3 +319,16 @@ def test_json_matrix_without_rows_is_usage_error(capsys):
     assert code == cli.EXIT_USAGE
     assert captured.out == ""
     assert captured.err == "error: empty matrix\n"
+
+
+def test_json_matrix_with_wrong_n_is_usage_error(capsys):
+    # n used to be ignored, printing the basis of the 2 x 2 matrix
+    code, err = usage_error(["forms", '{"n":5,"m":0,"rows":[[0,1],[-1,0]]}'], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: bad matrix JSON: n is 5 but there are 2 rows\n"
+
+
+def test_json_matrix_with_non_integer_n_is_usage_error(capsys):
+    code, err = usage_error(["forms", '{"n":"x","m":0,"rows":[[0,1],[-1,0]]}'], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == 'error: bad matrix JSON: "x" is not an integer\n'

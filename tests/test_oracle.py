@@ -13,6 +13,7 @@ import random
 import sympy
 
 from clustermut import Seed, random_skew_symmetrizable
+from clustermut.seeds import int_adjugate, int_det
 
 
 def as_sympy(p, symbols):
@@ -92,3 +93,22 @@ def test_exchange_rule_and_yhat_match_sympy():
                         assert num / den == want, where
                 cases += 1
     assert cases == 18
+
+
+def test_int_det_and_adjugate_match_sympy():
+    rng = random.Random(1968)
+    singular = 0
+    for n in range(1, 8):
+        for case in range(12):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if n > 1 and case % 3 == 0:
+                # one row a combination of the others (a multiple for n = 2)
+                a, *others = rng.sample(range(n), min(n, 3))
+                weights = [rng.randint(-2, 2) for _ in others]
+                rows[a] = [sum(w * rows[o][j] for w, o in zip(weights, others)) for j in range(n)]
+            det = sympy.Matrix(rows).det()
+            singular += det == 0
+            assert int_det(rows) == det, rows
+            if n <= 5:
+                assert sympy.Matrix(int_adjugate(rows)) == sympy.Matrix(rows).adjugate(), rows
+    assert singular >= 24

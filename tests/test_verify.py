@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from clustermut import (
@@ -23,6 +25,9 @@ from clustermut import (
     reduced_paths,
 )
 from clustermut import cli, seeds, verify
+from clustermut.graph import LockstepResult
+from clustermut.seeds import int_det
+from clustermut.semifield import TropicalSemifield
 from clustermut.verify import VerificationReport
 
 
@@ -160,6 +165,95 @@ def test_coincidence_refutes_an_unglued_other_side(a2, monkeypatch):
     assert report.witness == (
         "principal vs coefficient-free: paths [1, 2, 1] and [2, 1] glued on one side only"
     )
+
+
+# The coincide check before its walk was shared: one lockstep walk per
+# coefficient side, each over a list of the whole tree, kept as the oracle.
+# Its roots come from verify's own names, so a corruption patched there
+# reaches the oracle and the check alike.
+
+
+def oracle_tree(n, depth, roots):
+    nodes = [((), roots)]
+    for path, seeds in nodes:
+        if len(path) < depth:
+            last = path[-1] if path else 0
+            for k in range(1, n + 1):
+                if k != last:
+                    nodes.append((path + (k,), tuple(s.mutate(k) for s in seeds)))
+    return nodes
+
+
+def oracle_compare_by_paths(a, b, depth):
+    nodes = oracle_tree(a.n, depth, (a, b))
+    first_a, first_b, labels_a, labels_b = {}, {}, [], []
+    for v, (_, (sa, sb)) in enumerate(nodes):
+        labels_a.append(first_a.setdefault(sa.key(), v))
+        labels_b.append(first_b.setdefault(sb.key(), v))
+    divergence = None
+    coincide = a_covers_b = b_covers_a = True
+    for v in range(len(nodes)):
+        la, lb = labels_a[v], labels_b[v]
+        if la != lb and coincide:
+            coincide = False
+            divergence = (nodes[v][0], nodes[min(la, lb)][0])
+        if labels_b[la] != labels_b[v]:
+            a_covers_b = False
+        if labels_a[lb] != labels_a[v]:
+            b_covers_a = False
+    return LockstepResult(coincide, divergence, len(nodes), a_covers_b, b_covers_a)
+
+
+def oracle_coincidence(matrix, depth, rng_seed=0):
+    b = matrix.principal()
+    det = int_det(b.rows)
+    instance = f"B={b.to_json()} depth={depth} det={det}"
+    pr = verify.principal_seed(b)
+    cf = verify.coefficient_free_seed(b)
+    rng = random.Random(rng_seed)
+    tropical = verify.Seed.initial_general(
+        b, TropicalSemifield(b.n), verify.random_tropical_tuple(b.n, b.n, rng)
+    )
+    stats = {"nondegenerate": det != 0, "nodes": 0}
+    for name, other in (("coefficient-free", cf), ("random-tropical", tropical)):
+        result = oracle_compare_by_paths(pr, other, depth)
+        stats["nodes"] += result.nodes
+        stats[f"covers:{name}"] = result.a_covers_b
+        if not result.coincide:
+            witness = (
+                f"principal vs {name}: paths {list(result.divergence[0])} and "
+                f"{list(result.divergence[1])} glued on one side only"
+            )
+            return VerificationReport("coincide", instance, "refuted", witness, stats)
+    return VerificationReport("coincide", instance, "confirmed", None, stats)
+
+
+def unglued(seed):
+    return Unglued(seed.matrix, seed.cluster, seed.mode, seed.semifield, seed.coeffs, seed.vars)
+
+
+def test_coincidence_matches_the_two_walk_oracle(rng, monkeypatch):
+    real_cf = verify.coefficient_free_seed
+    cases = [(random_nondegenerate(rng, 2, max_entry=1), 6) for _ in range(4)]
+    cases += [(random_nondegenerate(rng, 4, max_entry=1), 3) for _ in range(2)]
+    cases += [
+        (ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]), 5),
+        (ExchangeMatrix.from_rows([[0, 1], [-3, 0]]), 10),
+    ]
+    verdicts = set()
+    for rng_seed, (b, depth) in enumerate(cases):
+        # as built, then unglued on the coefficient-free side, then on the
+        # tropical side (Unglued.initial_general builds an Unglued seed)
+        for side in (None, "coefficient-free", "random-tropical"):
+            if side == "coefficient-free":
+                monkeypatch.setattr(verify, "coefficient_free_seed", lambda m: unglued(real_cf(m)))
+            if side == "random-tropical":
+                monkeypatch.setattr(verify, "Seed", Unglued)
+            got = check_graph_coincidence(b, depth, rng_seed)
+            assert report_fields([got]) == report_fields([oracle_coincidence(b, depth, rng_seed)])
+            verdicts.add((side, got.verdict))
+            monkeypatch.undo()
+    assert {(None, "confirmed"), ("coefficient-free", "refuted"), ("random-tropical", "refuted")} <= verdicts
 
 
 # -- G-specialization ---------------------------------------------------------------
@@ -408,6 +502,34 @@ def test_path_tree_matches_per_path_checks_on_degenerate_a3(monkeypatch):
     other = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
     monkeypatch.setattr(verify, "coefficient_free_seed", lambda _b: coefficient_free_seed(other))
     assert "refuted" in assert_walk_matches_per_path(b, 4, ["g-spec"])
+
+
+@pytest.mark.parametrize("depth, mutations", [(4, 543), (5, 1536), (6, 4452)])
+def test_verify_all_walks_the_tree_and_enumerates_the_graph_once(depth, mutations, monkeypatch, capsys):
+    # A4: each tree edge mutates the principal, coefficient-free and random
+    # tropical seeds once (480, 1,452 and 4,368 calls), and the enumeration
+    # computes each graph edge it reaches once (63, then all 84 of them)
+    calls = []
+    real = Seed.mutate
+
+    def counted(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    enumerations = []
+    real_enumerate = verify.enumerate_graph
+
+    def counted_enumerate(*args, **kwargs):
+        enumerations.append(args)
+        return real_enumerate(*args, **kwargs)
+
+    monkeypatch.setattr(Seed, "mutate", counted)
+    monkeypatch.setattr(cli, "enumerate_graph", counted_enumerate)
+    monkeypatch.setattr(verify, "enumerate_graph", counted_enumerate)
+    a4 = "0 1 0 0;-1 0 1 0;0 -1 0 1;0 0 -1 0"
+    assert cli.main(["verify", a4, "--depth", str(depth)]) == cli.EXIT_OK
+    assert (len(calls), len(enumerations)) == (mutations, 1)
+    assert "refuted" not in capsys.readouterr().out
 
 
 def test_path_checks_mutate_each_tree_edge_once(monkeypatch, capsys):
