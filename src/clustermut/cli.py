@@ -7,7 +7,8 @@ paths are comma-separated.  Identical invocations print identical bytes.
 
 Exit codes: 0 success, 1 refuted verification, 2 usage error (any invalid
 input, including a matrix that is not skew-symmetrizable), 3 budget
-exhaustion.
+exhaustion, 4 internal error (an unexpected exception, reported in one
+line instead of a traceback, so it never reads as a refutation).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 ALL_CHECKS = ("cluster-seed", "adjacency", "coincide", "g-spec", "toric", "laurent")
 
@@ -387,6 +389,9 @@ def main(argv=None) -> int:
         # NotDivisible and friends: the engine caught a broken invariant
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUTED
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

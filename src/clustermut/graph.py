@@ -1,9 +1,10 @@
 """Exchange graph enumeration: the quotient of the n-regular tree by seed
 equivalence.
 
-Vertices are canonical seed representatives, deduplicated by the stable key
-from Seed.key(); breadth-first layers expand in a fixed order, so the
-resulting graph is byte-deterministic.
+Vertices are canonical seed representatives, deduplicated by the hashable
+value key from Seed.key(): the cluster polynomials themselves, not their
+text, so nothing is rendered until export.  Breadth-first layers expand in
+a fixed order, so the resulting graph is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ DEFAULT_MAX_VERTICES = 10 ** 6
 DEFAULT_MAX_TERMS = 10 ** 7
 
 
-def canonicalize_seed(seed: Seed) -> bytes:
+def canonicalize_seed(seed: Seed) -> tuple:
     """Permutation-invariant key; equal iff the seeds are equivalent."""
     return seed.key()
 
@@ -42,7 +43,7 @@ class ExchangeGraph:
     """
 
     seeds: list[Seed]
-    keys: list[bytes]
+    keys: list[tuple]
     depths: list[int]
     frontier: list[bool]
     neighbors: list[dict[int, int]]
@@ -307,7 +308,7 @@ def _reduced_tree(n: int, depth: int, roots: tuple[Seed, ...] = ()):
 def _glued(nodes, labels: list[list[int]]):
     """Yield the tree nodes, appending to labels[i] the first node whose
     seed i has the key of this node's seed i; later seeds are not keyed."""
-    first: list[dict[bytes, int]] = [{} for _ in labels]
+    first: list[dict[tuple, int]] = [{} for _ in labels]
     for v, node in enumerate(nodes):
         for seen, side, seed in zip(first, labels, node[1]):
             side.append(seen.setdefault(seed.key(), v))

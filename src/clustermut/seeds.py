@@ -52,6 +52,8 @@ class ExchangeMatrix:
     def __post_init__(self):
         if self.n == 0:
             raise ParseError("empty matrix")
+        if self.m < 0:
+            raise ParseError(f"m must be nonnegative, got {self.m}")
         if len(self.rows) != self.n or any(len(r) != self.n + self.m for r in self.rows):
             raise ParseError(f"matrix shape must be {self.n} x {self.n + self.m}")
 
@@ -463,18 +465,18 @@ class Seed:
     def canonicalized(self) -> "Seed":
         return self.permuted(self.canonical_permutation())
 
-    def key(self) -> bytes:
-        """Stable byte string identifying the seed up to simultaneous
+    def key(self) -> tuple:
+        """Hashable value identifying the seed up to simultaneous
         permutation of cluster, coefficients, and matrix."""
         return self.canonicalized()._canonical_key()
 
-    def _canonical_key(self) -> bytes:
-        """key() of a seed that is already canonicalized."""
-        parts = [self.mode, repr(self.vars), self.matrix.to_json()]
-        parts.extend(str(p) for p in self.cluster)
-        if self.coeffs is not None:
-            parts.extend(str(y) for y in self.coeffs)
-        return "\x1f".join(parts).encode()
+    def _canonical_key(self) -> tuple:
+        """key() of a seed that is already canonicalized: mode, context,
+        matrix rows, the cluster polynomials themselves (their hash is
+        cached) and the rendered coefficients, since subtraction-free
+        coefficients are unhashable."""
+        coeffs = None if self.coeffs is None else tuple(str(y) for y in self.coeffs)
+        return (self.mode, self.vars, self.matrix.rows, self.cluster, coeffs)
 
     def __str__(self):
         lines = [f"cluster: ({', '.join(str(p) for p in self.cluster)})"]

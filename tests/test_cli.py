@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clustermut import cli
 from clustermut.verify import VerificationReport
@@ -332,3 +335,63 @@ def test_json_matrix_with_non_integer_n_is_usage_error(capsys):
     code, err = usage_error(["forms", '{"n":"x","m":0,"rows":[[0,1],[-1,0]]}'], capsys)
     assert code == cli.EXIT_USAGE
     assert err == 'error: bad matrix JSON: "x" is not an integer\n'
+
+
+def test_negative_m_is_usage_error(capsys):
+    # m = -1 used to pass the shape check and fail later on a wrong shape
+    code, err = usage_error(["enumerate", '{"m":-1,"rows":[[0],[0]]}'], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: m must be nonnegative, got -1\n"
+
+
+def test_unexpected_exception_exits_four(capsys, monkeypatch):
+    def broken(args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    code = cli.main(["verify", A2_TEXT])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err == "error: internal error: RuntimeError: boom\n"
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    n = draw(st.integers(1, 3))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = 0
+            for j in range(i):
+                rows[i][j] = -rows[j][i]
+    matrix = ";".join(" ".join(str(x) for x in r) for r in rows)
+    command = draw(st.sampled_from(["mutate", "enumerate", "export", "forms", "verify"]))
+    if command == "forms":
+        argv = ["forms", matrix, "--format", draw(st.sampled_from(["text", "json"]))]
+        if draw(st.booleans()):
+            argv += ["--mutate", str(draw(st.integers(0, 4)))]
+        return argv
+    argv = [command, matrix]
+    if command == "mutate":
+        argv.append(",".join(str(k) for k in draw(st.lists(st.integers(0, 4), max_size=3))))
+    argv += [
+        "--format", draw(st.sampled_from(["text", "json", "dot"])),
+        "--coeffs", draw(st.sampled_from(["trivial", "principal", "tropical:1", "tropical:2"])),
+        "--depth", str(draw(st.integers(0, 2))),
+        "--max-vertices", str(draw(st.integers(0, 30))),
+        "--max-terms", str(draw(st.integers(0, 500))),
+    ]
+    if command == "verify":
+        argv += ["--check", draw(st.sampled_from(("all",) + cli.ALL_CHECKS))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fuzzed_argv())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_REFUTED, cli.EXIT_USAGE, cli.EXIT_BUDGET), err.getvalue()
+    assert "Traceback" not in err.getvalue()
