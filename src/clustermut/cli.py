@@ -266,10 +266,8 @@ def _enumerate(args):
 
 def cmd_enumerate(args, out) -> int:
     graph = _enumerate(args)
-    if args.format == "json":
-        out.write(graph.to_json() + "\n")
-    elif args.format == "dot":
-        out.write(graph.to_dot())
+    if args.format in ("json", "dot"):
+        out.write(graph.export(args.format).decode())
     else:
         status = "complete" if graph.complete else "frontier"
         out.write(f"{graph.vertex_count} vertices, {graph.edge_count} edges, {status}\n")

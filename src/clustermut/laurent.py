@@ -3,8 +3,8 @@
 A polynomial is a map from exponent vectors (one integer per ambient
 variable, negatives allowed) to nonzero integer coefficients.  The ambient
 context is the tuple of variable names; two values interoperate only when
-their contexts are identical.  All values are immutable and hashable, so
-they can be shared freely across threads.
+their contexts are identical.  Values are immutable; polynomials are
+hashable, fractions are not (their equality is cross-multiplication).
 
 The term order is graded lexicographic on exponent vectors (total degree
 first, then lex), fixed once per context.  It gives unique canonical forms
@@ -195,11 +195,7 @@ class LaurentPolynomial:
         self._check_context(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+            terms[e] = terms.get(e, 0) + c
         return LaurentPolynomial(self.vars, terms)
 
     def __neg__(self) -> "LaurentPolynomial":
@@ -328,17 +324,11 @@ class LaurentPolynomial:
     def derivative(self, index: int) -> "LaurentPolynomial":
         """Formal partial derivative with respect to the variable at
         0-based ``index`` (Laurent terms differentiate the same way)."""
-        terms: dict[Exps, int] = {}
-        for e, c in self.terms.items():
-            k = e[index]
-            if k == 0:
-                continue
-            d = e[:index] + (k - 1,) + e[index + 1 :]
-            s = terms.get(d, 0) + c * k
-            if s:
-                terms[d] = s
-            else:
-                terms.pop(d, None)
+        terms = {
+            e[:index] + (e[index] - 1,) + e[index + 1 :]: c * e[index]
+            for e, c in self.terms.items()
+            if e[index]
+        }
         return LaurentPolynomial(self.vars, terms)
 
     # -- substitution ------------------------------------------------------
@@ -479,11 +469,7 @@ def parse_poly(vars: tuple[str, ...], text: str) -> LaurentPolynomial:
                 raise ParseError(f"unknown variable {name!r} (context {vars})")
             exps[pos[name]] += exp
         e = tuple(exps)
-        s = terms.get(e, 0) + coeff
-        if s:
-            terms[e] = s
-        else:
-            terms.pop(e, None)
+        terms[e] = terms.get(e, 0) + coeff
     return LaurentPolynomial(vars, terms)
 
 
@@ -519,7 +505,7 @@ class LaurentFraction:
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
-        raise AttributeError("LaurentFraction is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def from_polynomial(cls, p: LaurentPolynomial) -> "LaurentFraction":
@@ -580,7 +566,7 @@ class LaurentFraction:
         return self.equals(other)
 
     def __hash__(self):
-        raise TypeError("LaurentFraction is unhashable; compare with equals()")
+        raise TypeError(f"{type(self).__name__} is unhashable; compare with equals()")
 
     def __str__(self):
         if self.den.is_one():
@@ -588,7 +574,7 @@ class LaurentFraction:
         return f"({self.num}) / ({self.den})"
 
     def __repr__(self):
-        return f"LaurentFraction({self.num!r}, {self.den!r})"
+        return f"{type(self).__name__}({self.num!r}, {self.den!r})"
 
 
 def lp_arith(a: LaurentPolynomial, b: LaurentPolynomial, op: str) -> LaurentPolynomial:

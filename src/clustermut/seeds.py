@@ -35,6 +35,7 @@ from .semifield import (
     TrivialSemifield,
     TropicalElement,
     TropicalSemifield,
+    g_vars,
 )
 
 GENERAL = "general"
@@ -329,7 +330,7 @@ class Seed:
             raise ContextMismatch("general seeds take a plain n x n matrix")
         rank = semifield.rank
         if semifield.kind == "tropical":
-            vars = ambient_vars(matrix.n) + tuple(f"g{j}" for j in range(1, rank + 1))
+            vars = ambient_vars(matrix.n) + g_vars(rank)
         elif semifield.kind == "subtraction-free":
             vars = ambient_vars(matrix.n) + semifield.vars
         else:
@@ -397,17 +398,25 @@ class Seed:
             yk = self.coeffs[k - 1]
             u_inv = yk.oplus(self.semifield.one()).inv()
             plus, minus = self._embed(yk * u_inv), self._embed(u_inv)
-        for i, b in enumerate(self.matrix.rows[k - 1]):
-            if b > 0:
-                plus = plus * self.extended_value(i) ** b
-            elif b < 0:
-                minus = minus * self.extended_value(i) ** (-b)
+        plus, minus = self._exchange_products(k, plus, minus)
         new_var = (plus + minus).exact_div(self.cluster[k - 1])
         cluster = self.cluster[: k - 1] + (new_var,) + self.cluster[k:]
         coeffs = self.coeffs
         if self.mode == GENERAL:
             coeffs = mutate_coefficients(coeffs, self.matrix, k, self.semifield)
         return Seed(self.matrix.mutate(k), cluster, self.mode, self.semifield, coeffs, self.vars)
+
+    def _exchange_products(
+        self, k: int, plus: LaurentPolynomial, minus: LaurentPolynomial
+    ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+        """plus * prod x_i^b_ki over b_ki > 0 and minus * prod x_i^-b_ki
+        over b_ki < 0, the products over the extended cluster."""
+        for i, b in enumerate(self.matrix.rows[k - 1]):
+            if b > 0:
+                plus = plus * self.extended_value(i) ** b
+            elif b < 0:
+                minus = minus * self.extended_value(i) ** (-b)
+        return plus, minus
 
     def mutate_path(self, path: Sequence[int]) -> "Seed":
         seed = self
@@ -418,19 +427,15 @@ class Seed:
     # -- derived data ----------------------------------------------------------
 
     def yhat(self) -> tuple[LaurentFraction, ...]:
-        """yhat_j = y_j * prod_i x_i^{b_ji} as exact fractions, the product
-        over the extended cluster; geometric seeds carry y_j in the stable
-        columns, so their explicit factor is 1."""
+        """yhat_j = y_j * prod_i x_i^{b_ji} as exact fractions: the exchange
+        products of direction j with y_j's numerator and denominator as the
+        coefficients; geometric seeds carry y_j in the stable columns, so
+        their explicit factor is 1."""
+        one = LaurentFraction.from_polynomial(LaurentPolynomial.one(self.vars))
         out = []
         for j in range(self.n):
-            if self.mode == GEOMETRIC:
-                acc = LaurentFraction.from_polynomial(LaurentPolynomial.one(self.vars))
-            else:
-                acc = self._embed_fraction(self.coeffs[j])
-            for i, b in enumerate(self.matrix.rows[j]):
-                if b:
-                    acc = acc * LaurentFraction.from_polynomial(self.extended_value(i)).pow(b)
-            out.append(acc.normalized())
+            y = one if self.mode == GEOMETRIC else self._embed_fraction(self.coeffs[j])
+            out.append(LaurentFraction(*self._exchange_products(j + 1, y.num, y.den)).normalized())
         return tuple(out)
 
     def to_general(self) -> "Seed":

@@ -4,7 +4,8 @@
   minimum of exponent vectors; defines geometric type.
 * trivial: the one-element semifield {1}; coefficient-free algebras.
 * subtraction-free rationals: ratios of polynomials with nonnegative integer
-  coefficients in y1..yn; carries Y-patterns.
+  coefficients in y1..yn; carries Y-patterns.  An element is a Laurent
+  fraction with its common monomial and integer content stripped.
 
 Elements are immutable values; the semifield objects are small stateless
 descriptors used to build identities and evaluate Y-pattern expressions.
@@ -14,14 +15,19 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ContextMismatch
-from .laurent import LaurentPolynomial, strip_content
+from .errors import ContextMismatch, ParseError
+from .laurent import LaurentFraction, LaurentPolynomial, parse_poly, render_monomial, strip_content
 
 Y_PREFIX = "y"
 
 
 def y_vars(n: int) -> tuple[str, ...]:
     return tuple(f"{Y_PREFIX}{i}" for i in range(1, n + 1))
+
+
+def g_vars(rank: int) -> tuple[str, ...]:
+    """Names of the tropical generators g1..g{rank}."""
+    return tuple(f"g{j}" for j in range(1, rank + 1))
 
 
 class TropicalElement:
@@ -60,8 +66,7 @@ class TropicalElement:
         return hash(("trop", self.exps))
 
     def __str__(self):
-        parts = [f"g{i+1}^{e}" if e != 1 else f"g{i+1}" for i, e in enumerate(self.exps) if e]
-        return "*".join(parts) if parts else "1"
+        return render_monomial(g_vars(len(self.exps)), self.exps)
 
     def __repr__(self):
         return f"TropicalElement({self.exps})"
@@ -103,14 +108,15 @@ class TrivialElement:
         return "TrivialElement()"
 
 
-class SubtractionFreeRational:
+class SubtractionFreeRational(LaurentFraction):
     """num/den with nonnegative integer coefficients, both nonzero.
 
-    Canonical form strips common monomial and integer content only; equality
-    is the cross-multiplication test, so polynomial GCDs never happen.
+    A Laurent fraction whose canonical form strips common monomial and
+    integer content only; equality is the inherited cross-multiplication
+    test, so polynomial GCDs never happen.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
     def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial):
         if num.is_zero() or den.is_zero():
@@ -118,12 +124,7 @@ class SubtractionFreeRational:
         if any(c < 0 for c in num.terms.values()) or any(c < 0 for c in den.terms.values()):
             raise ContextMismatch("subtraction-free elements have nonnegative coefficients")
         num._check_context(den)
-        num, den = strip_content(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubtractionFreeRational is immutable")
+        super().__init__(*strip_content(num, den))
 
     def _check(self, other: "SubtractionFreeRational"):
         if not isinstance(other, SubtractionFreeRational) or self.num.vars != other.num.vars:
@@ -146,22 +147,6 @@ class SubtractionFreeRational:
         return SubtractionFreeRational(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, SubtractionFreeRational):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("SubtractionFreeRational is unhashable")
-
-    def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"SubtractionFreeRational({self.num!r}, {self.den!r})"
 
 
 class TropicalSemifield:
@@ -292,24 +277,9 @@ def evaluate_y_pattern(expr: SubtractionFreeRational, target, images: Sequence) 
 
 
 def parse_tropical(rank: int, text: str) -> TropicalElement:
-    """Parse `g1^2*g3^-1` style tropical monomials."""
-    from .errors import ParseError
-
-    text = text.strip()
-    exps = [0] * rank
-    if text == "1":
-        return TropicalElement(exps)
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            name, _, exp = factor.partition("^")
-            k = int(exp)
-        else:
-            name, k = factor, 1
-        if not name.startswith("g") or not name[1:].isdigit():
-            raise ParseError(f"bad tropical factor {factor!r}")
-        j = int(name[1:])
-        if not 1 <= j <= rank:
-            raise ParseError(f"generator g{j} out of rank {rank}")
-        exps[j - 1] += k
+    """Parse `g1^2*g3^-1` style tropical monomials: one term, coefficient 1."""
+    p = parse_poly(g_vars(rank), text)
+    if list(p.terms.values()) != [1]:
+        raise ParseError(f"not a tropical monomial: {text!r}")
+    (exps,) = p.terms
     return TropicalElement(exps)

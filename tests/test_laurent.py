@@ -209,6 +209,36 @@ def test_derivative():
     assert p.derivative(1) == lp("x1^2")
 
 
+def test_normalized_zero_numerator_gets_unit_denominator():
+    f = LaurentFraction(lp("0"), lp("x1 + x2")).normalized()
+    assert f.num.is_zero() and f.den.is_one()
+    assert str(f) == "0"
+
+
+def test_normalized_makes_leading_denominator_coefficient_positive():
+    f = LaurentFraction(lp("2*x1^2"), lp("-2*x1*x2 - 2*x1")).normalized()
+    assert (str(f.num), str(f.den)) == ("-x1", "x2 + 1")
+    assert str(f) == "(-x1) / (x2 + 1)"
+
+
+def test_fraction_operator_equality_hash_and_repr():
+    f = LaurentFraction(lp("x1"), lp("x2 + 1"))
+    assert f == LaurentFraction(lp("2*x1*x2"), lp("2*x2^2 + 2*x2"))
+    assert f != LaurentFraction(lp("x1"), lp("x2 - 1"))
+    assert f != lp("x1")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(f)
+    assert repr(f) == "LaurentFraction(LaurentPolynomial('x1'), LaurentPolynomial('x2 + 1'))"
+
+
+def test_cancelled_terms_are_dropped():
+    assert (lp("x1 + x2") + lp("-x1 + 1")).terms == lp("x2 + 1").terms
+    assert (lp("x1") - lp("x1")).is_zero()
+    assert parse_poly(V2, "x1 + x2 - x1").terms == {(0, 1): 1}
+    assert parse_poly(V2, "x1 - x1").is_zero()
+    assert lp("x2 + 3").derivative(0).is_zero()
+
+
 # -- packed kernel ---------------------------------------------------------------
 
 # exponents near powers of two put a span exactly on a field-width boundary

@@ -256,6 +256,20 @@ def test_yhat_principal_includes_stable_factor(a2):
     assert y2.as_polynomial() == parse_poly(seed.vars, "x1^-1*x4")
 
 
+def test_yhat_over_subtraction_free_coefficients(b2):
+    sf = SubtractionFreeSemifield(2)
+    y1, y2 = sf.identity_tuple()
+    u = y1.oplus(sf.one())
+    coeffs = (u * y2.inv(), y2 * u.inv())
+    seed = Seed.initial_general(b2, sf, coeffs)
+    assert seed.vars == ("x1", "x2", "y1", "y2")
+    # yhat_1 = y_1 x2^b12 and yhat_2 = y_2 x1^b21 with B = [[0, 1], [-2, 0]]
+    assert [str(y) for y in compute_yhat(seed)] == [
+        "x2*y1*y2^-1 + x2*y2^-1",
+        "(y2) / (x1^2*y1 + x1^2)",
+    ]
+
+
 def test_y_pattern_identity_for_empty_path(a2):
     pats = y_pattern_tuple(a2, ())
     sf = SubtractionFreeSemifield(2)

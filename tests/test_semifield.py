@@ -9,6 +9,7 @@ from clustermut import (
     TrivialSemifield,
     TropicalElement,
     TropicalSemifield,
+    ParseError,
     evaluate_y_pattern,
     parse_poly,
     sf_inv,
@@ -65,6 +66,40 @@ def test_tropical_render_parse():
     assert str(e) == "g1^2*g2^-1"
     assert parse_tropical(3, str(e)) == e
     assert parse_tropical(2, "1") == TropicalElement((0, 0))
+
+
+@pytest.mark.parametrize("text", ["2*g1", "g1 + g2", "g3", "-g1", "g1 - g1", "0", ""])
+def test_parse_tropical_rejects_non_monomials(text):
+    with pytest.raises(ParseError):
+        parse_tropical(2, text)
+
+
+def test_parse_tropical_rejects_a_bad_exponent():
+    with pytest.raises(ParseError):
+        parse_tropical(2, "g1^x")
+
+
+@given(st.integers(0, 3).flatmap(lambda r: st.lists(st.integers(-4, 4), min_size=r, max_size=r)))
+def test_tropical_parse_render_round_trip(exps):
+    e = TropicalElement(exps)
+    assert parse_tropical(len(exps), str(e)) == e
+
+
+def test_subtraction_free_text_equality_and_hash():
+    e = sf_elem("y1 + 1", "y2")
+    assert str(e) == "(y1 + 1) / (y2)"
+    assert repr(e) == (
+        "SubtractionFreeRational(LaurentPolynomial('y1 + 1'), LaurentPolynomial('y2'))"
+    )
+    assert str(sf_elem("y1 + y2")) == "y1 + y2"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(e)
+    # no common monomial or integer content, so the two representations
+    # stay apart and only cross-multiplication sees them equal
+    other = sf_elem("y1*y2 + y1", "y2^2 + y2")
+    assert str(other) == "(y1*y2 + y1) / (y2^2 + y2)"
+    assert other == sf_elem("y1", "y2")
+    assert other != sf_elem("y2", "y1")
 
 
 trop_elems = st.builds(
