@@ -491,7 +491,7 @@ class LaurentFraction:
     """Transient numerator/denominator pair of Laurent polynomials.
 
     Cluster variables themselves are always reduced back to pure Laurent
-    form; fractions only carry substitution results and y-hat values.
+    form; fractions carry substitution results, y-hat and Y-pattern values.
     Equality is by cross-multiplication, so no polynomial GCD is needed.
     """
 
