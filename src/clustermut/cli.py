@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-import time
 
 from .errors import (
     BadDirection,
@@ -45,17 +43,7 @@ from .seeds import (
     validate_and_symmetrize,
 )
 from .semifield import TropicalElement, TropicalSemifield
-from .verify import (
-    REFUTED,
-    VerificationReport,
-    _laurent_verdict,
-    check_adjacency,
-    check_cluster_determines_seed,
-    check_laurent,
-    check_tree,
-    merge_reports,
-    random_tropical_tuple,
-)
+from .verify import REFUTED, random_tropical_seed, run_checks
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -125,10 +113,7 @@ def build_seed(matrix: ExchangeMatrix, coeffs: str, rng_seed: int) -> Seed:
             raise ParseError(f"bad tropical rank in {coeffs!r}")
         if rank < 0:
             raise ParseError(f"negative tropical rank in {coeffs!r}")
-        rng = random.Random(rng_seed)
-        return Seed.initial_general(
-            matrix, TropicalSemifield(rank), random_tropical_tuple(matrix.n, rank, rng)
-        )
+        return random_tropical_seed(matrix, rank, rng_seed)
     if coeffs.startswith("file:"):
         path = coeffs.split(":", 1)[1]
         with open(path) as fh:
@@ -314,27 +299,9 @@ def cmd_verify(args, out) -> int:
     matrix = load_matrix(args.matrix)
     depth = args.depth if args.depth is not None else 6
     max_vertices, max_terms = _budgets(args)
-    wanted = ALL_CHECKS if args.check == "all" else (args.check,)
-    reports: list[VerificationReport] = []
-    if "cluster-seed" in wanted or "adjacency" in wanted:
-        seed = build_seed(matrix, args.coeffs, args.seed)
-        graph = enumerate_graph(seed, depth, max_vertices=max_vertices, max_terms=max_terms)
-        if "cluster-seed" in wanted:
-            reports.append(check_cluster_determines_seed(graph))
-        if "adjacency" in wanted:
-            reports.append(check_adjacency(graph))
-        # the graph enumerated without a budget or division error, which is
-        # all that check_laurent would catch enumerating it again
-        if "laurent" in wanted:
-            reports.append(_laurent_verdict(seed, depth, graph, time.monotonic()))
-    elif "laurent" in wanted:
-        seed = build_seed(matrix, args.coeffs, args.seed)
-        reports.append(
-            check_laurent(seed, depth, max_vertices=max_vertices, max_terms=max_terms)
-        )
-    tree_checks = [check for check in ("coincide", "g-spec", "toric") if check in wanted]
-    reports.extend(check_tree(matrix, depth, tree_checks, args.seed, path_depth=4))
-    merged = merge_reports(reports)
+    seed = build_seed(matrix, args.coeffs, args.seed)
+    checks = ALL_CHECKS if args.check == "all" else (args.check,)
+    merged = run_checks(matrix, seed, depth, checks, max_vertices, max_terms, args.seed)
     if args.format == "json":
         out.write(
             json.dumps([r.to_dict(include_timing=args.timings) for r in merged],
@@ -346,9 +313,7 @@ def cmd_verify(args, out) -> int:
             if r.witness:
                 line += f" [{r.witness}]"
             out.write(line + "\n")
-    if any(r.verdict == REFUTED for r in merged):
-        return EXIT_REFUTED
-    return EXIT_OK
+    return EXIT_REFUTED if any(r.verdict == REFUTED for r in merged) else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,7 @@ exactly that reason.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -63,9 +64,15 @@ class VerificationReport:
         return out
 
 
-def _timed(report: VerificationReport, t0: float) -> VerificationReport:
-    report.seconds = time.monotonic() - t0
-    return report
+def _timed(check):
+    """Decorate a check or verdict: its report carries the call's seconds."""
+    @functools.wraps(check)
+    def timed(*args, **kwargs) -> VerificationReport:
+        t0 = time.monotonic()
+        report = check(*args, **kwargs)
+        report.seconds = time.monotonic() - t0
+        return report
+    return timed
 
 
 def merge_reports(reports: list[VerificationReport]) -> list[VerificationReport]:
@@ -112,11 +119,11 @@ def merge_reports(reports: list[VerificationReport]) -> list[VerificationReport]
 # -- the cluster determines the seed -------------------------------------------
 
 
+@_timed
 def check_cluster_determines_seed(graph: ExchangeGraph) -> VerificationReport:
     """Confirmed iff no two distinct vertices carry the same unordered
     cluster; a collision is exactly a seed that the cluster fails to
     determine, and is returned as a witness."""
-    t0 = time.monotonic()
     instance = f"graph with {graph.vertex_count} vertices"
     seen: dict[tuple[LaurentPolynomial, ...], int] = {}
     for i, seed in enumerate(graph.seeds):
@@ -128,24 +135,18 @@ def check_cluster_determines_seed(graph: ExchangeGraph) -> VerificationReport:
                 f"coefficients ({', '.join(str(y) for y in graph.seeds[j].coefficient_tuple())}) vs "
                 f"({', '.join(str(y) for y in graph.seeds[i].coefficient_tuple())})"
             )
-            return _timed(
-                VerificationReport(
-                    "cluster-seed", instance, REFUTED, witness,
-                    {"vertices": graph.vertex_count},
-                ),
-                t0,
+            return VerificationReport(
+                "cluster-seed", instance, REFUTED, witness, {"vertices": graph.vertex_count}
             )
     verdict = CONFIRMED if graph.complete else INCONCLUSIVE
     witness = None if graph.complete else "frontier hit; enumeration incomplete"
-    return _timed(
-        VerificationReport("cluster-seed", instance, verdict, witness, {"vertices": graph.vertex_count}),
-        t0,
-    )
+    return VerificationReport("cluster-seed", instance, verdict, witness, {"vertices": graph.vertex_count})
 
 
 # -- adjacency iff n-1 common variables ----------------------------------------
 
 
+@_timed
 def check_adjacency(graph: ExchangeGraph) -> VerificationReport:
     """An edge exists iff the clusters share exactly n-1 variables, both
     implications tested for every vertex pair.
@@ -156,16 +157,12 @@ def check_adjacency(graph: ExchangeGraph) -> VerificationReport:
     compared with the edges.  A refutation names the first bad pair in
     (i, j) order, with its 1-based position among all pairs i < j as the
     pairs stat; a confirmation counts all V(V-1)/2 pairs."""
-    t0 = time.monotonic()
     instance = f"graph with {graph.vertex_count} vertices"
     if not graph.complete:
-        return _timed(
-            VerificationReport(
-                "adjacency", instance, INCONCLUSIVE,
-                "frontier hit; enumeration incomplete",
-                {"vertices": graph.vertex_count},
-            ),
-            t0,
+        return VerificationReport(
+            "adjacency", instance, INCONCLUSIVE,
+            "frontier hit; enumeration incomplete",
+            {"vertices": graph.vertex_count},
         )
     n, count = graph.seeds[0].n, graph.vertex_count
     sets = [frozenset(s.cluster) for s in graph.seeds]
@@ -192,19 +189,12 @@ def check_adjacency(graph: ExchangeGraph) -> VerificationReport:
             f"edge {'present' if (i, j) in adjacent else 'absent'}"
         )
         pairs = i * (count - 1) - i * (i - 1) // 2 + (j - i)
-        return _timed(
-            VerificationReport(
-                "adjacency", instance, REFUTED, witness,
-                {"vertices": count, "pairs": pairs},
-            ),
-            t0,
+        return VerificationReport(
+            "adjacency", instance, REFUTED, witness, {"vertices": count, "pairs": pairs}
         )
-    return _timed(
-        VerificationReport(
-            "adjacency", instance, CONFIRMED, None,
-            {"vertices": count, "pairs": count * (count - 1) // 2},
-        ),
-        t0,
+    return VerificationReport(
+        "adjacency", instance, CONFIRMED, None,
+        {"vertices": count, "pairs": count * (count - 1) // 2},
     )
 
 
@@ -215,6 +205,13 @@ def random_tropical_tuple(n: int, rank: int, rng: random.Random) -> tuple[Tropic
     return tuple(
         TropicalElement(tuple(rng.randint(-2, 2) for _ in range(rank))) for _ in range(n)
     )
+
+
+def random_tropical_seed(matrix: ExchangeMatrix, rank: int, rng_seed: int) -> Seed:
+    """The seed over the rank-r tropical semifield whose coefficients are
+    drawn by random_tropical_tuple from random.Random(rng_seed)."""
+    tropical = random_tropical_tuple(matrix.n, rank, random.Random(rng_seed))
+    return Seed.initial_general(matrix, TropicalSemifield(rank), tropical)
 
 
 def check_graph_coincidence(matrix: ExchangeMatrix, depth: int, rng_seed: int = 0) -> VerificationReport:
@@ -230,20 +227,21 @@ def check_graph_coincidence(matrix: ExchangeMatrix, depth: int, rng_seed: int = 
 # -- G-specialization ----------------------------------------------------------
 
 
+@_timed
 def check_g_specialization(matrix: ExchangeMatrix, path: tuple[int, ...]) -> VerificationReport:
     """Principal-coefficient variables with all stable variables set to 1
     must equal the coefficient-free variables along the same path.
 
     Setting x_{n+1}..x_{2n} to 1 is an exponent map: each term keeps its
     first n exponents, and terms that land on the same monomial add up."""
-    t0 = time.monotonic()
     b = matrix.principal()
     pr = principal_seed(b).mutate_path(path)
     cf = coefficient_free_seed(b).mutate_path(path)
-    return _g_spec_verdict(b, path, pr, cf, t0)
+    return _g_spec_verdict(b, path, pr, cf)
 
 
-def _g_spec_verdict(b: ExchangeMatrix, path, pr: Seed, cf: Seed, t0: float) -> VerificationReport:
+@_timed
+def _g_spec_verdict(b: ExchangeMatrix, path, pr: Seed, cf: Seed) -> VerificationReport:
     instance = f"B={b.to_json()} path={list(path)}"
     for i in range(b.n):
         terms: dict[tuple[int, ...], int] = {}
@@ -252,13 +250,14 @@ def _g_spec_verdict(b: ExchangeMatrix, path, pr: Seed, cf: Seed, t0: float) -> V
         specialized = LaurentPolynomial(cf.vars, terms)
         if specialized != cf.cluster[i]:
             witness = f"variable {i + 1}: {specialized} != {cf.cluster[i]}"
-            return _timed(VerificationReport("g-spec", instance, REFUTED, witness), t0)
-    return _timed(VerificationReport("g-spec", instance, CONFIRMED, None, {"variables": b.n}), t0)
+            return VerificationReport("g-spec", instance, REFUTED, witness)
+    return VerificationReport("g-spec", instance, CONFIRMED, None, {"variables": b.n})
 
 
 # -- toric action invariance -----------------------------------------------------
 
 
+@_timed
 def check_toric_invariance(matrix: ExchangeMatrix, path: tuple[int, ...]) -> VerificationReport:
     """Rescaling the initial extended cluster by the kernel weights must
     multiply every cluster variable by a Laurent monomial in the formal
@@ -268,21 +267,21 @@ def check_toric_invariance(matrix: ExchangeMatrix, path: tuple[int, ...]) -> Ver
     x^e * t^(e.w^1, ..., e.w^n) with its coefficient unchanged, so the
     ratio is a t-monomial iff every term of the variable has the same
     weight degree (e.w^1, ..., e.w^n); no t parameter is ever adjoined."""
-    t0 = time.monotonic()
     b = matrix.principal()
     weights = compute_toric_weights(b)
     seed = principal_seed(b).mutate_path(path)
-    return _toric_verdict(b, path, weights, seed, t0)
+    return _toric_verdict(b, path, weights, seed)
 
 
-def _toric_verdict(b: ExchangeMatrix, path, weights, seed: Seed, t0: float) -> VerificationReport:
+@_timed
+def _toric_verdict(b: ExchangeMatrix, path, weights, seed: Seed) -> VerificationReport:
     instance = f"B={b.to_json()} path={list(path)}"
     for i in range(b.n):
         degrees = sorted({_weight_degree(exps, weights) for exps in seed.cluster[i].terms})
         if len(degrees) > 1:
             witness = f"variable {i + 1}: terms of weight degrees {degrees[0]} and {degrees[1]}"
-            return _timed(VerificationReport("toric", instance, REFUTED, witness), t0)
-    return _timed(VerificationReport("toric", instance, CONFIRMED, None, {"variables": b.n}), t0)
+            return VerificationReport("toric", instance, REFUTED, witness)
+    return VerificationReport("toric", instance, CONFIRMED, None, {"variables": b.n})
 
 
 def _weight_degree(exps: tuple[int, ...], weights) -> tuple[int, ...]:
@@ -290,23 +289,17 @@ def _weight_degree(exps: tuple[int, ...], weights) -> tuple[int, ...]:
     return tuple(sum(e * x for e, x in zip(exps, w)) for w in weights)
 
 
-def check_path_tree(matrix: ExchangeMatrix, depth: int, checks) -> list[VerificationReport]:
-    """The reports of check_g_specialization, then of check_toric_invariance
-    (those named in checks), for every reduced path up to depth in
-    breadth-first order, read off one walk of the tree by check_tree.
-    For det B = 0 toric gives one inconclusive report instead."""
-    return check_tree(matrix, depth, [check for check in ("g-spec", "toric") if check in checks])
-
-
 def check_tree(
-    matrix: ExchangeMatrix, depth: int, checks, rng_seed: int = 0, path_depth: int | None = None
+    matrix: ExchangeMatrix, depth: int, checks, rng_seed: int = 0, path_depth: int | None = None,
+    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> list[VerificationReport]:
-    """The report of check_graph_coincidence over the paths up to depth,
-    then those of check_path_tree over the paths up to min(depth,
-    path_depth), for the checks named, read off one walk of the reduced-path
-    tree.  The walk mutates the principal seed, plus the coefficient-free
-    one for coincide or g-spec, plus the random tropical one for coincide."""
-    t0 = time.monotonic()
+    """The reports of check_graph_coincidence, check_g_specialization and
+    check_toric_invariance (det B = 0 gives one inconclusive toric report),
+    for the checks named, read off one breadth-first walk of the reduced
+    paths up to depth, min(depth, path_depth) for the last two.  The walk
+    mutates the principal seed, plus the coefficient-free one for coincide
+    or g-spec, plus the random tropical one for coincide; BudgetExceeded
+    means a seed it made holds over max_terms terms in its cluster."""
     b = matrix.principal()
     det = int_det(b.rows)
     coincide, g_spec = "coincide" in checks, "g-spec" in checks
@@ -318,35 +311,27 @@ def check_tree(
     if coincide or g_spec:
         roots += (coefficient_free_seed(b),)
     if coincide:
-        rng = random.Random(rng_seed)
-        tropical = random_tropical_tuple(b.n, b.n, rng)
-        roots += (Seed.initial_general(b, TropicalSemifield(b.n), tropical),)
+        roots += (random_tropical_seed(b, b.n, rng_seed),)
     labels: list[list[int]] = [[] for _ in roots] if coincide else []
-    paths, reports, toric = [], [], []
+    reports, toric = [], []
     walked = coincide or g_spec or weights
     tree = _reduced_tree(b.n, depth if coincide else path_depth, roots) if walked else ()
-    for path, seeds in _glued(tree, labels):
-        paths.append(path)
-        if g_spec and len(path) <= path_depth:
-            reports.append(_g_spec_verdict(b, path, *seeds[:2], time.monotonic()))
-        if weights and len(path) <= path_depth:
-            toric.append(_toric_verdict(b, path, weights, seeds[0], time.monotonic()))
+
+    def walk():
+        for path, seeds in _glued(tree, labels):
+            if path and any(sum(len(p.terms) for p in s.cluster) > max_terms for s in seeds):
+                raise BudgetExceeded(f"term budget {max_terms} exhausted at path {list(path)}")
+            if g_spec and len(path) <= path_depth:
+                reports.append(_g_spec_verdict(b, path, *seeds[:2]))
+            if weights and len(path) <= path_depth:
+                toric.append(_toric_verdict(b, path, weights, seeds[0]))
+            yield path
+
     if coincide:
-        instance = f"B={b.to_json()} depth={depth} det={det}"
-        stats = {"nondegenerate": det != 0, "nodes": 0}
-        verdict, witness = CONFIRMED, None
-        for name, other in zip(("coefficient-free", "random-tropical"), labels[1:]):
-            result = _lockstep(paths, labels[0], other)
-            stats["nodes"] += result.nodes
-            stats[f"covers:{name}"] = result.a_covers_b
-            if not result.coincide:
-                verdict, witness = REFUTED, (
-                    f"principal vs {name}: paths {list(result.divergence[0])} and "
-                    f"{list(result.divergence[1])} glued on one side only"
-                )
-                break
-        report = VerificationReport("coincide", instance, verdict, witness, stats)
-        reports.insert(0, _timed(report, t0))
+        reports.insert(0, _coincide_verdict(b, depth, det, walk(), labels))
+    else:
+        for _ in walk():
+            pass
     if "toric" in checks and not det:
         toric.append(VerificationReport(
             "toric", f"B={b.to_json()}", INCONCLUSIVE, "det B = 0: nondegeneracy hypothesis unmet"
@@ -354,9 +339,30 @@ def check_tree(
     return reports + toric
 
 
+@_timed
+def _coincide_verdict(b: ExchangeMatrix, depth: int, det: int, walk, labels) -> VerificationReport:
+    """Drive the walk, which labels every node on each side, then compare
+    the principal side's labels with each other side's."""
+    paths = list(walk)
+    instance = f"B={b.to_json()} depth={depth} det={det}"
+    stats = {"nondegenerate": det != 0, "nodes": 0}
+    for name, other in zip(("coefficient-free", "random-tropical"), labels[1:]):
+        result = _lockstep(paths, labels[0], other)
+        stats["nodes"] += result.nodes
+        stats[f"covers:{name}"] = result.a_covers_b
+        if not result.coincide:
+            witness = (
+                f"principal vs {name}: paths {list(result.divergence[0])} and "
+                f"{list(result.divergence[1])} glued on one side only"
+            )
+            return VerificationReport("coincide", instance, REFUTED, witness, stats)
+    return VerificationReport("coincide", instance, CONFIRMED, None, stats)
+
+
 # -- Laurent phenomenon ------------------------------------------------------------
 
 
+@_timed
 def check_laurent(
     initial: Seed,
     depth: int,
@@ -370,19 +376,19 @@ def check_laurent(
     Each edge is mutated once, from the endpoint expanded first.  The
     divisions skipped on the way back are x_k = (P+ + P-) / x_k', which
     the forward step x_k' = (P+ + P-) / x_k already showed exact."""
-    t0 = time.monotonic()
     instance = f"B={initial.matrix.to_json()} depth={depth}"
     try:
         graph = enumerate_graph(initial, depth, max_vertices=max_vertices, max_terms=max_terms)
     except NotDivisible as exc:
-        return _timed(VerificationReport("laurent", instance, REFUTED, str(exc)), t0)
+        return VerificationReport("laurent", instance, REFUTED, str(exc))
     except BudgetExceeded as exc:
         stats = {"vertices": exc.partial.vertex_count if exc.partial else 0}
-        return _timed(VerificationReport("laurent", instance, INCONCLUSIVE, str(exc), stats), t0)
-    return _laurent_verdict(initial, depth, graph, t0)
+        return VerificationReport("laurent", instance, INCONCLUSIVE, str(exc), stats)
+    return _laurent_verdict(initial, depth, graph)
 
 
-def _laurent_verdict(initial: Seed, depth: int, graph: ExchangeGraph, t0: float) -> VerificationReport:
+@_timed
+def _laurent_verdict(initial: Seed, depth: int, graph: ExchangeGraph) -> VerificationReport:
     """check_laurent's report on the graph it enumerated without error."""
     instance = f"B={initial.matrix.to_json()} depth={depth}"
     bits = 0
@@ -390,17 +396,45 @@ def _laurent_verdict(initial: Seed, depth: int, graph: ExchangeGraph, t0: float)
         for p in seed.cluster:
             bits = max(bits, p.max_coeff_bits())
     stats = {"vertices": graph.vertex_count, "max_coeff_bits": bits}
-    return _timed(VerificationReport("laurent", instance, CONFIRMED, None, stats), t0)
+    return VerificationReport("laurent", instance, CONFIRMED, None, stats)
+
+
+# -- the verify plan -----------------------------------------------------------------
+
+
+def run_checks(
+    matrix: ExchangeMatrix, seed: Seed, depth: int, checks,
+    max_vertices: int = DEFAULT_MAX_VERTICES, max_terms: int = DEFAULT_MAX_TERMS, rng_seed: int = 0,
+) -> list[VerificationReport]:
+    """The merged reports of the checks named.  cluster-seed, adjacency and
+    laurent read one exchange graph of seed enumerated to depth (laurent
+    catches only budget and division errors, which enumerating it would
+    raise; it enumerates its own only when the other two do not run).
+    coincide, g-spec and toric read one check_tree walk of matrix, with
+    g-spec and toric capped at path length 4."""
+    reports: list[VerificationReport] = []
+    if "cluster-seed" in checks or "adjacency" in checks:
+        graph = enumerate_graph(seed, depth, max_vertices=max_vertices, max_terms=max_terms)
+        if "cluster-seed" in checks:
+            reports.append(check_cluster_determines_seed(graph))
+        if "adjacency" in checks:
+            reports.append(check_adjacency(graph))
+        if "laurent" in checks:
+            reports.append(_laurent_verdict(seed, depth, graph))
+    elif "laurent" in checks:
+        reports.append(check_laurent(seed, depth, max_vertices=max_vertices, max_terms=max_terms))
+    reports.extend(check_tree(matrix, depth, checks, rng_seed, path_depth=4, max_terms=max_terms))
+    return merge_reports(reports)
 
 
 # -- y-hat propagation ----------------------------------------------------------
 
 
+@_timed
 def check_yhat_propagation(initial: Seed, path: tuple[int, ...]) -> VerificationReport:
     """The y-hat tuple of the seed at the end of the path must equal the
     Y-pattern expression for that seed evaluated in the ambient field at
     the initial y-hat tuple."""
-    t0 = time.monotonic()
     instance = f"B={initial.matrix.to_json()} path={list(path)} mode={initial.mode}"
     yhat0 = initial.yhat()
     end = initial.mutate_path(path)
@@ -410,8 +444,8 @@ def check_yhat_propagation(initial: Seed, path: tuple[int, ...]) -> Verification
         value = _evaluate_in_field(patterns[j], yhat0)
         if not value.equals(expected[j]):
             witness = f"yhat_{j + 1}: pattern gives {value}, seed gives {expected[j]}"
-            return _timed(VerificationReport("yhat", instance, REFUTED, witness), t0)
-    return _timed(VerificationReport("yhat", instance, CONFIRMED, None, {"variables": initial.n}), t0)
+            return VerificationReport("yhat", instance, REFUTED, witness)
+    return VerificationReport("yhat", instance, CONFIRMED, None, {"variables": initial.n})
 
 
 def _evaluate_in_field(pattern, images: tuple[LaurentFraction, ...]) -> LaurentFraction:
@@ -424,11 +458,11 @@ def _evaluate_in_field(pattern, images: tuple[LaurentFraction, ...]) -> LaurentF
 # -- pipeline agreement ------------------------------------------------------------
 
 
+@_timed
 def check_pipeline_agreement(matrix: ExchangeMatrix, path: tuple[int, ...], k: int) -> VerificationReport:
     """One mutation step computed both ways on a geometric seed: the
     general exchange relation over the tropical semifield against the
     extended-matrix relation.  The two adjacent seeds must agree exactly."""
-    t0 = time.monotonic()
     instance = f"B~={matrix.to_json()} path={list(path)} k={k}"
     geo = Seed.initial_geometric(matrix).mutate_path(path)
     gen = geo.to_general()
@@ -436,14 +470,14 @@ def check_pipeline_agreement(matrix: ExchangeMatrix, path: tuple[int, ...], k: i
     gen_next = gen.mutate(k)
     if gen_next.cluster != geo_next.cluster:
         witness = f"clusters differ in direction {k}"
-        return _timed(VerificationReport("pipeline", instance, REFUTED, witness), t0)
+        return VerificationReport("pipeline", instance, REFUTED, witness)
     if gen_next.coeffs != geo_next.to_general().coeffs:
         witness = f"coefficient tuples differ in direction {k}"
-        return _timed(VerificationReport("pipeline", instance, REFUTED, witness), t0)
+        return VerificationReport("pipeline", instance, REFUTED, witness)
     if gen_next.matrix.rows != geo_next.matrix.principal().rows:
         witness = f"principal matrices differ in direction {k}"
-        return _timed(VerificationReport("pipeline", instance, REFUTED, witness), t0)
-    return _timed(VerificationReport("pipeline", instance, CONFIRMED), t0)
+        return VerificationReport("pipeline", instance, REFUTED, witness)
+    return VerificationReport("pipeline", instance, CONFIRMED)
 
 
 # -- randomized instances -----------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clustermut import cli
+from clustermut import cli, verify
 from clustermut.verify import VerificationReport
 
 A2_TEXT = "0 1\n-1 0"
@@ -156,7 +156,7 @@ def test_budget_env_override(capsys, monkeypatch):
 
 def test_refuted_verification_exits_one(capsys, monkeypatch):
     refuted = VerificationReport("coincide", "forced", "refuted", "synthetic witness")
-    monkeypatch.setattr(cli, "check_tree", lambda *a, **k: [refuted])
+    monkeypatch.setattr(verify, "check_tree", lambda *a, **k: [refuted])
     code, out = run(["verify", A2_TEXT, "--check", "coincide"], capsys)
     assert code == cli.EXIT_REFUTED
     assert "refuted" in out
@@ -273,6 +273,38 @@ def test_negative_depth_is_usage_error(check, capsys):
     assert code == cli.EXIT_USAGE
     assert captured.out == ""
     assert captured.err == "error: --depth must be nonnegative, got -3\n"
+
+
+@pytest.mark.parametrize("check", ["coincide", "g-spec", "toric"])
+@pytest.mark.parametrize(
+    "matrix, coeffs, message",
+    [
+        (A2_TEXT, "tropical:-1", "negative tropical rank in 'tropical:-1'"),
+        ('{"n": 2, "m": 1, "rows": [[0, 1, 1], [-1, 0, 1]]}', "principal",
+         "an extended matrix already fixes the coefficients"),
+    ],
+)
+def test_tree_checks_validate_coeffs(check, matrix, coeffs, message, capsys):
+    # the tree checks build their own seeds, but a bad --coeffs is still bad
+    code, err = usage_error(["verify", matrix, "--check", check, "--coeffs", coeffs], capsys)
+    assert (code, err) == (cli.EXIT_USAGE, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("check", ["coincide", "g-spec", "toric"])
+def test_tree_checks_honour_the_term_budget(check, capsys):
+    # x1' = (1 + x2)/x1 already holds two terms, so the first node is over
+    code = cli.main(["verify", A2_TEXT, "--check", check, "--max-terms", "1", "--max-vertices", "1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BUDGET
+    assert (captured.out, captured.err) == ("", "error: term budget 1 exhausted at path [1]\n")
+
+
+def test_timings_give_every_report_its_seconds(capsys):
+    code, out = run(["verify", A2_TEXT, "--check", "all", "--timings", "--format", "json"], capsys)
+    reports = json.loads(out)
+    assert code == cli.EXIT_OK
+    assert [r["check"] for r in reports] == sorted(cli.ALL_CHECKS)
+    assert all(isinstance(r["seconds"], float) and r["seconds"] >= 0 for r in reports)
 
 
 @pytest.mark.parametrize(

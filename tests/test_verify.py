@@ -1,4 +1,6 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +15,7 @@ from clustermut import (
     check_g_specialization,
     check_graph_coincidence,
     check_laurent,
+    check_pipeline_agreement,
     check_toric_invariance,
     check_yhat_propagation,
     coefficient_free_seed,
@@ -25,7 +28,8 @@ from clustermut import (
     reduced_paths,
 )
 from clustermut import cli, seeds, verify
-from clustermut.graph import LockstepResult
+from clustermut.errors import BudgetExceeded
+from clustermut.graph import LockstepResult, _reduced_tree
 from clustermut.seeds import int_det
 from clustermut.semifield import TropicalSemifield
 from clustermut.verify import VerificationReport
@@ -467,7 +471,7 @@ def per_path_reports(b, depth, checks):
 
 
 def assert_walk_matches_per_path(b, depth, checks):
-    walked = verify.check_path_tree(b, depth, checks)
+    walked = verify.check_tree(b, depth, checks)
     assert report_fields(walked) == report_fields(per_path_reports(b, depth, checks))
     return {r.verdict for r in walked}
 
@@ -543,7 +547,7 @@ def test_path_checks_mutate_each_tree_edge_once(monkeypatch, capsys):
 
     monkeypatch.setattr(Seed, "mutate", counted)
     a4 = "0 1 0 0;-1 0 1 0;0 -1 0 1;0 0 -1 0"
-    verify.check_path_tree(cli.load_matrix(a4), 4, ["g-spec", "toric"])
+    verify.check_tree(cli.load_matrix(a4), 4, ["g-spec", "toric"])
     assert len(calls) == 320
     # g-spec walks the principal and coefficient-free roots, toric only the first
     for check, count in (("g-spec", 320), ("toric", 160)):
@@ -551,6 +555,40 @@ def test_path_checks_mutate_each_tree_edge_once(monkeypatch, capsys):
         assert cli.main(["verify", a4, "--check", check, "--depth", "4"]) == cli.EXIT_OK
         assert len(calls) == count
     assert capsys.readouterr().out == "g-spec: confirmed\ntoric: confirmed\n"
+
+
+def test_tree_walk_bounds_the_terms_of_each_seed(a3):
+    # g-spec walks the principal and coefficient-free seeds
+    roots = (principal_seed(a3), coefficient_free_seed(a3))
+    most = max(
+        sum(len(p.terms) for p in seed.cluster)
+        for path, seeds in _reduced_tree(3, 3, roots) if path for seed in seeds
+    )
+    assert len(verify.check_tree(a3, 3, ["g-spec"], max_terms=most)) == len(reduced_paths(3, 3))
+    with pytest.raises(BudgetExceeded, match=rf"^term budget {most - 1} exhausted at path \[[1-3, ]+\]$"):
+        verify.check_tree(a3, 3, ["g-spec"], max_terms=most - 1)
+
+
+def test_every_check_reports_the_seconds_it_took(a2, monkeypatch):
+    # a clock that ticks once per reading: a report that was not timed keeps 0.0
+    ticks = itertools.count()
+    monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    graph = graph_of(a2)
+    extended = ExchangeMatrix.from_rows([[0, 1, 1], [-1, 0, 1]], 1)
+    reports = [
+        check_cluster_determines_seed(graph),
+        check_adjacency(graph),
+        check_graph_coincidence(a2, 3),
+        check_g_specialization(a2, (1, 2)),
+        check_toric_invariance(a2, (1, 2)),
+        check_laurent(coefficient_free_seed(a2), 3),
+        check_laurent(coefficient_free_seed(a2), 3, max_vertices=1),
+        check_yhat_propagation(principal_seed(a2), (1, 2)),
+        check_pipeline_agreement(extended, (1,), 2),
+    ]
+    reports += verify.check_tree(a2, 2, ["coincide", "g-spec", "toric"])
+    reports += verify.run_checks(a2, coefficient_free_seed(a2), 3, cli.ALL_CHECKS)
+    assert all(isinstance(r.seconds, float) and r.seconds > 0 for r in reports)
 
 
 # -- Laurent check -----------------------------------------------------------------------
