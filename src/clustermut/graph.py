@@ -194,10 +194,17 @@ def enumerate_graph(
     again.  Two vertices claiming one (v, j) mean a broken exchange rule
     and raise ClusterMutError.
 
+    Every mutation shares one memo of exchange relations, seeded with the
+    root's cluster (see Seed.mutate): a relation met again is read back
+    instead of recomputed, and equal cluster variables are one object, so
+    keys compare by identity.  The memo lives as long as this call.
+
     Expansion stops after depth_limit layers; vertices discovered in the
     last layer that never expanded are flagged as frontier.  Vertex or term
     budget overruns raise BudgetExceeded carrying the partial graph.
-    stats counts the mutations computed and the directions reused.
+    stats counts the mutations computed (child seeds made, one per edge),
+    the directions reused and exchange_cache_hits, the mutations whose
+    relation the memo already held.
     """
     if depth_limit < 0:
         raise ContextMismatch("depth_limit must be nonnegative")
@@ -210,7 +217,8 @@ def enumerate_graph(
     neighbors: list[dict[int, int]] = [{}]
     # back[v][j] = u: direction j of v undoes a mutation computed from u
     back: list[dict[int, int]] = [{}]
-    mutations = reused = 0
+    exchanges: dict = {x: x for x in rep0.cluster}
+    mutations = reused = hits = 0
     term_total = sum(len(p.terms) for p in rep0.cluster)
 
     def snapshot(complete: bool) -> ExchangeGraph:
@@ -229,8 +237,11 @@ def enumerate_graph(
                     reused += 1
                     neighbors[u][k] = idx
                     continue
-                child = seeds[u].mutate(k)
+                # a miss adds the relation to the memo, a hit adds nothing
+                size = len(exchanges)
+                child = seeds[u].mutate(k, exchanges=exchanges)
                 mutations += 1
+                hits += len(exchanges) == size
                 new_var = child.cluster[k - 1]
                 child = child.canonicalized()
                 ck = child._canonical_key()
@@ -272,6 +283,7 @@ def enumerate_graph(
         "depth_reached": depth,
         "mutations": mutations,
         "reused": reused,
+        "exchange_cache_hits": hits,
     }
     return graph
 

@@ -377,34 +377,59 @@ class Seed:
 
     # -- mutation ------------------------------------------------------------
 
-    def mutate(self, k: int) -> "Seed":
+    def mutate(self, k: int, exchanges: dict | None = None) -> "Seed":
         """Exchange relation x_k x_k' = c+ P+ + c- P-, with P+ and P- the
         products of x_i^[b_ki]+ and x_i^[-b_ki]+ over the extended cluster.
 
         Geometric seeds keep their coefficients in the stable columns, so
         c+ = c- = 1.  General seeds take c+ = y_k / (y_k (+) 1) and
         c- = 1 / (y_k (+) 1) from the semifield and mutate the y-tuple.
+
+        exchanges, when given, memoizes the relations of one enumeration.
+        It maps the key of each relation met (x_k, y_k, the pairs (x_i,
+        b_ki) with b_ki != 0 over the mutable slots and the stable part of
+        row k, which is all the relation reads) to its x_k', and each x_k'
+        to itself, so that equal variables share one object.  A hit forms
+        no product and divides nothing; the caller seeds it with the root's
+        cluster, as in {x: x for x in root.cluster}.
         """
         if not 1 <= k <= self.n:
             raise BadDirection(f"direction {k} outside [1, {self.n}]")
-        if self.mode == GEOMETRIC:
-            plus = minus = LaurentPolynomial.one(self.vars)
+        if self.mode == GENERAL and self.semifield.kind == "subtraction-free":
+            raise ContextMismatch(
+                "cluster mutation over subtraction-free coefficients is not "
+                "supported; mutate the y-tuple with mutate_coefficients instead"
+            )
+        if exchanges is None:
+            new_var = self._exchange(k)
         else:
-            if self.semifield.kind == "subtraction-free":
-                raise ContextMismatch(
-                    "cluster mutation over subtraction-free coefficients is not "
-                    "supported; mutate the y-tuple with mutate_coefficients instead"
-                )
-            yk = self.coeffs[k - 1]
-            u_inv = yk.oplus(self.semifield.one()).inv()
-            plus, minus = self._embed(yk * u_inv), self._embed(u_inv)
-        plus, minus = self._exchange_products(k, plus, minus)
-        new_var = (plus + minus).exact_div(self.cluster[k - 1])
+            row = self.matrix.rows[k - 1]
+            key = (
+                self.cluster[k - 1],
+                None if self.mode == GEOMETRIC else self.coeffs[k - 1],
+                tuple((x, b) for x, b in zip(self.cluster, row) if b),
+                row[self.n :],
+            )
+            new_var = exchanges.get(key)
+            if new_var is None:
+                new_var = self._exchange(k)
+                new_var = exchanges[key] = exchanges.setdefault(new_var, new_var)
         cluster = self.cluster[: k - 1] + (new_var,) + self.cluster[k:]
         coeffs = self.coeffs
         if self.mode == GENERAL:
             coeffs = mutate_coefficients(coeffs, self.matrix, k, self.semifield)
         return Seed(self.matrix.mutate(k), cluster, self.mode, self.semifield, coeffs, self.vars)
+
+    def _exchange(self, k: int) -> LaurentPolynomial:
+        """x_k' = (c+ P+ + c- P-) / x_k by exact division."""
+        if self.mode == GEOMETRIC:
+            plus = minus = LaurentPolynomial.one(self.vars)
+        else:
+            yk = self.coeffs[k - 1]
+            u_inv = yk.oplus(self.semifield.one()).inv()
+            plus, minus = self._embed(yk * u_inv), self._embed(u_inv)
+        plus, minus = self._exchange_products(k, plus, minus)
+        return (plus + minus).exact_div(self.cluster[k - 1])
 
     def _exchange_products(
         self, k: int, plus: LaurentPolynomial, minus: LaurentPolynomial

@@ -375,7 +375,11 @@ def check_laurent(
 
     Each edge is mutated once, from the endpoint expanded first.  The
     divisions skipped on the way back are x_k = (P+ + P-) / x_k', which
-    the forward step x_k' = (P+ + P-) / x_k already showed exact."""
+    the forward step x_k' = (P+ + P-) / x_k already showed exact.  Each
+    distinct exchange relation is divided once, the first time the
+    enumeration meets it, and every later edge with the same relation
+    reads that quotient back, so the verdict still covers every relation
+    in the graph."""
     instance = f"B={initial.matrix.to_json()} depth={depth}"
     try:
         graph = enumerate_graph(initial, depth, max_vertices=max_vertices, max_terms=max_terms)

@@ -1,6 +1,6 @@
 """Whole exchange graph of coefficient-free E7 and its two graph checks.
 
-A standalone script, not collected by pytest (it takes over a minute):
+A standalone script, not collected by pytest (it takes several seconds):
 
     PYTHONPATH=src python tests/e7_check.py
 

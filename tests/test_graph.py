@@ -10,6 +10,7 @@ from clustermut import (
     DegenerateSeed,
     ExchangeGraph,
     ExchangeMatrix,
+    LaurentPolynomial,
     Seed,
     TropicalSemifield,
     canonicalize_seed,
@@ -20,7 +21,7 @@ from clustermut import (
     random_skew_symmetrizable,
     reduced_paths,
 )
-from clustermut.verify import random_tropical_tuple
+from clustermut.verify import random_tropical_seed, random_tropical_tuple
 
 
 # -- canonical keys ---------------------------------------------------------------
@@ -390,11 +391,69 @@ def test_conflicting_back_edge_raises(a2, monkeypatch):
     x2_side = root.mutate(2).key()
     real = Seed.mutate
 
-    def corrupted(self, k):
+    def corrupted(self, k, exchanges=None):
         if self.key() == x2_side:
             return x1_side.permuted((0, 1) if k == 1 else (1, 0))
-        return real(self, k)
+        return real(self, k, exchanges)
 
     monkeypatch.setattr(Seed, "mutate", corrupted)
     with pytest.raises(ClusterMutError, match="broken exchange rule"):
         enumerate_graph(root, 10)
+
+
+# -- the exchange-relation memo: differential test against uncached mutation -------
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "G2"])
+def test_memo_matches_the_uncached_oracle(name, g2):
+    matrix = g2 if name == "G2" else ExchangeMatrix.from_rows(FINITE_TYPES[name][0])
+    for seed in (
+        coefficient_free_seed(matrix),
+        principal_seed(matrix),
+        random_tropical_seed(matrix, matrix.n, 7),
+    ):
+        message, graph, _, _ = got = outcome(enumerate_graph, seed, 20)
+        assert got == outcome(oracle_enumerate, seed, 20)
+        assert message is None and graph.complete
+        # a rank-2 graph is a cycle, whose edges each make a new variable
+        assert (graph.stats["exchange_cache_hits"] > 0) == (matrix.n > 2)
+
+
+@pytest.mark.parametrize("rows", [[[0, 2, -2], [-2, 0, 2], [2, -2, 0]], [[0, 3], [-3, 0]]])
+def test_memo_never_hits_where_every_relation_is_new(rows):
+    # the Markov and wild rank-2 exchange graphs are trees, so each cluster
+    # variable is made by one edge only: distinct results force distinct keys
+    graph = enumerate_graph(coefficient_free_seed(ExchangeMatrix.from_rows(rows)), 4)
+    assert graph.stats["mutations"] == graph.edge_count > 0
+    assert graph.stats["exchange_cache_hits"] == 0
+
+
+def test_memo_interns_each_cluster_variable_once():
+    # coefficient-free A4 has n(n+3)/2 = 14 cluster variables in 42 clusters
+    graph = enumerate_graph(coefficient_free_seed(ExchangeMatrix.from_rows(FINITE_TYPES["A4"][0])), 20)
+    assert graph.vertex_count == 42
+    assert len({id(x) for seed in graph.seeds for x in seed.cluster}) == 14
+
+
+def test_memo_divides_once_per_distinct_relation(monkeypatch):
+    # A6: 1,287 edges over 126 distinct relations, as many as the
+    # quadrilaterals of the 9-gon; coefficient-free, a relation is fixed by
+    # the pair {x_k, x_k'} of variables it exchanges
+    divisions = []
+    real = LaurentPolynomial.exact_div
+
+    def counted(self, other):
+        divisions.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(LaurentPolynomial, "exact_div", counted)
+    rows = [[0] * 6 for _ in range(6)]
+    for i in range(5):
+        rows[i][i + 1], rows[i + 1][i] = 1, -1
+    graph = enumerate_graph(coefficient_free_seed(ExchangeMatrix.from_rows(rows)), 20)
+    relations = {
+        frozenset(set(graph.seeds[u].cluster) ^ set(graph.seeds[v].cluster))
+        for u, v, _ in graph.edges()
+    }
+    assert (graph.stats["mutations"], len(relations), len(divisions)) == (1287, 126, 126)
+    assert graph.stats["exchange_cache_hits"] + len(relations) == graph.stats["mutations"]

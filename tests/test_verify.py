@@ -516,9 +516,9 @@ def test_verify_all_walks_the_tree_and_enumerates_the_graph_once(depth, mutation
     calls = []
     real = Seed.mutate
 
-    def counted(self, k):
+    def counted(self, k, exchanges=None):
         calls.append(k)
-        return real(self, k)
+        return real(self, k, exchanges)
 
     enumerations = []
     real_enumerate = verify.enumerate_graph
