@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, ClusterMutError, ContextMismatch, ParseError
 from .laurent import parse_poly
-from .seeds import (
-    GEOMETRIC,
-    ExchangeMatrix,
-    Seed,
-    TrivialSemifield,
-    TropicalSemifield,
-)
+from .seeds import GEOMETRIC, ExchangeMatrix, Seed, TrivialSemifield, TropicalSemifield
 from .semifield import parse_tropical
 
 DEFAULT_DEPTH = 8
@@ -49,6 +43,8 @@ class ExchangeGraph:
     neighbors: list[dict[int, int]]
     complete: bool
     stats: dict = field(default_factory=dict)
+    companions: list[tuple[Seed, ...]] = field(default_factory=list)
+    unglued: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def vertex_count(self) -> int:
@@ -185,6 +181,7 @@ def enumerate_graph(
     depth_limit: int = DEFAULT_DEPTH,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_terms: int = DEFAULT_MAX_TERMS,
+    companions: tuple[Seed, ...] = (),
 ) -> ExchangeGraph:
     """Breadth-first exchange graph in which each edge is computed once.
 
@@ -199,9 +196,16 @@ def enumerate_graph(
     instead of recomputed, and equal cluster variables are one object, so
     keys compare by identity.  The memo lives as long as this call.
 
+    Each companion seed is mutated along every edge computed, with its own
+    memo, and permuted as initial's side is (initial needs distinct cluster
+    variables, as principal coefficients give); graph.companions holds them
+    per vertex and graph.unglued the edges (u, k) reaching a known vertex
+    with other companions than those stored there.
+
     Expansion stops after depth_limit layers; vertices discovered in the
     last layer that never expanded are flagged as frontier.  Vertex or term
-    budget overruns raise BudgetExceeded carrying the partial graph.
+    budget overruns raise BudgetExceeded carrying the partial graph; the
+    term budget counts the clusters of every stored seed, companions too.
     stats counts the mutations computed (child seeds made, one per edge),
     the directions reused and exchange_cache_hits, the mutations whose
     relation the memo already held.
@@ -209,7 +213,8 @@ def enumerate_graph(
     if depth_limit < 0:
         raise ContextMismatch("depth_limit must be nonnegative")
     n = initial.n
-    rep0 = initial.canonicalized()
+    perm = initial.canonical_permutation()
+    rep0 = initial.permuted(perm)
     seeds = [rep0]
     keys = [rep0._canonical_key()]
     index = {keys[0]: 0}
@@ -217,14 +222,18 @@ def enumerate_graph(
     neighbors: list[dict[int, int]] = [{}]
     # back[v][j] = u: direction j of v undoes a mutation computed from u
     back: list[dict[int, int]] = [{}]
+    sides = [tuple(s.permuted(perm) for s in companions)]
+    unglued: list[tuple[int, int]] = []
     exchanges: dict = {x: x for x in rep0.cluster}
+    memos = [{x: x for x in s.cluster} for s in companions]
     mutations = reused = hits = 0
-    term_total = sum(len(p.terms) for p in rep0.cluster)
+    term_total = sum(len(p.terms) for s in (rep0, *companions) for p in s.cluster)
 
     def snapshot(complete: bool) -> ExchangeGraph:
         # a vertex is frontier exactly when it never resolved all n directions
         frontier = [len(nbrs) < n for nbrs in neighbors]
-        return ExchangeGraph(seeds, keys, depths, frontier, neighbors, complete and not any(frontier))
+        complete = complete and not any(frontier)
+        return ExchangeGraph(seeds, keys, depths, frontier, neighbors, complete, {}, sides, unglued)
 
     layer = [0]
     depth = 0
@@ -243,15 +252,21 @@ def enumerate_graph(
                 mutations += 1
                 hits += len(exchanges) == size
                 new_var = child.cluster[k - 1]
-                child = child.canonicalized()
+                perm = child.canonical_permutation()
+                child = child.permuted(perm)
                 ck = child._canonical_key()
                 idx = index.get(ck)
+                arrived = ()
+                if companions:
+                    arrived = tuple(s.mutate(k, exchanges=m).permuted(perm) for s, m in zip(sides[u], memos))
+                    if idx is not None and arrived != sides[idx]:
+                        unglued.append((u, k))
                 if idx is None:
                     if len(seeds) + 1 > max_vertices:
                         raise BudgetExceeded(
                             f"vertex budget {max_vertices} exhausted", snapshot(False)
                         )
-                    term_total += sum(len(p.terms) for p in child.cluster)
+                    term_total += sum(len(p.terms) for s in (child, *arrived) for p in s.cluster)
                     if term_total > max_terms:
                         raise BudgetExceeded(
                             f"term budget {max_terms} exhausted", snapshot(False)
@@ -263,6 +278,7 @@ def enumerate_graph(
                     depths.append(depth + 1)
                     neighbors.append({})
                     back.append({})
+                    sides.append(arrived)
                     new_layer.append(idx)
                 # mutating idx at the slot of the new variable returns to u
                 j = child.cluster.index(new_var) + 1
@@ -317,37 +333,14 @@ def _reduced_tree(n: int, depth: int, roots: tuple[Seed, ...] = ()):
                     yield node
 
 
-def _glued(nodes, labels: list[list[int]]):
-    """Yield the tree nodes, appending to labels[i] the first node whose
-    seed i has the key of this node's seed i; later seeds are not keyed."""
-    first: list[dict[tuple, int]] = [{} for _ in labels]
-    for v, node in enumerate(nodes):
-        for seen, side, seed in zip(first, labels, node[1]):
-            side.append(seen.setdefault(seed.key(), v))
-        yield node
-
-
-def _lockstep(paths: list, labels_a: list[int], labels_b: list[int]) -> LockstepResult:
-    """Compare two sides' labels of the same tree nodes; the first node
-    labelled differently diverges, paired with the node one side glues it to."""
-    pairs = list(zip(labels_a, labels_b))
-    v = next((v for v, (la, lb) in enumerate(pairs) if la != lb), None)
-    return LockstepResult(
-        v is None,
-        None if v is None else (paths[v], paths[min(pairs[v])]),
-        len(paths),
-        all(labels_b[la] == lb for la, lb in pairs),
-        all(labels_a[lb] == la for la, lb in pairs),
-    )
-
-
 def compare_by_paths(a: Seed, b: Seed, depth: int) -> LockstepResult:
     """Walk all reduced mutation paths to the given depth and compare the
     two quotient identifications.
 
-    Both seeds must share the principal exchange matrix and rank; the
-    result reports whether the same pairs of tree vertices are glued, and
-    if not, the first divergent pair of paths in breadth-first order.
+    Both seeds must share the principal exchange matrix and rank.  Each
+    side labels a node by the first node with the same key there; the
+    result reports whether the labels agree, and if not, the first
+    divergent pair of paths in breadth-first order.
     """
     if a.n != b.n:
         raise ContextMismatch("seeds have different ranks")
@@ -355,9 +348,18 @@ def compare_by_paths(a: Seed, b: Seed, depth: int) -> LockstepResult:
         raise ContextMismatch("seeds have different principal exchange matrices")
     if depth < 0:
         raise ContextMismatch("depth must be nonnegative")
-    labels: list[list[int]] = [[], []]
-    paths = [path for path, _ in _glued(_reduced_tree(a.n, depth, (a, b)), labels)]
-    return _lockstep(paths, *labels)
+    paths, pairs, first = [], [], ({}, {})
+    for path, seeds in _reduced_tree(a.n, depth, (a, b)):
+        pairs.append(tuple(seen.setdefault(s.key(), len(paths)) for seen, s in zip(first, seeds)))
+        paths.append(path)
+    v = next((v for v, (la, lb) in enumerate(pairs) if la != lb), None)
+    return LockstepResult(
+        v is None,
+        None if v is None else (paths[v], paths[min(pairs[v])]),
+        len(paths),
+        all(pairs[la][1] == lb for la, lb in pairs),
+        all(pairs[lb][0] == la for la, lb in pairs),
+    )
 
 
 def reduced_paths(n: int, max_len: int) -> list[tuple[int, ...]]:

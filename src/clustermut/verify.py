@@ -10,29 +10,17 @@ exactly that reason.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, ContextMismatch, NotDivisible
-from .graph import (
-    DEFAULT_MAX_TERMS,
-    DEFAULT_MAX_VERTICES,
-    ExchangeGraph,
-    _glued,
-    _lockstep,
-    _reduced_tree,
-    enumerate_graph,
-)
+from .errors import BudgetExceeded, NotDivisible
+from .graph import DEFAULT_MAX_TERMS, DEFAULT_MAX_VERTICES, ExchangeGraph, enumerate_graph
 from .laurent import LaurentFraction, LaurentPolynomial
 from .seeds import (
-    ExchangeMatrix,
-    Seed,
-    coefficient_free_seed,
-    compute_toric_weights,
-    int_det,
-    principal_seed,
+    ExchangeMatrix, Seed, coefficient_free_seed, compute_toric_weights, int_det, principal_seed,
     y_pattern_tuple,
 )
 from .semifield import TropicalElement, TropicalSemifield
@@ -214,14 +202,11 @@ def random_tropical_seed(matrix: ExchangeMatrix, rank: int, rng_seed: int) -> Se
     return Seed.initial_general(matrix, TropicalSemifield(rank), tropical)
 
 
+@_timed
 def check_graph_coincidence(matrix: ExchangeMatrix, depth: int, rng_seed: int = 0) -> VerificationReport:
-    """Lockstep walk of the n-regular tree comparing the quotients induced
-    by principal, coefficient-free, and one seeded-random tropical variant.
-
-    The nondegeneracy hypothesis is recorded but the comparison runs either
-    way; a divergence is returned as the first pair of glued paths on one
-    side only."""
-    return check_tree(matrix, depth, ("coincide",), rng_seed)[0]
+    """check_joint_graph's coincide report: the principal, coefficient-free and
+    a seeded-random tropical seed must glue the same paths, whatever det B."""
+    return check_joint_graph(matrix, depth, ("coincide",), rng_seed)[0]
 
 
 # -- G-specialization ----------------------------------------------------------
@@ -230,28 +215,31 @@ def check_graph_coincidence(matrix: ExchangeMatrix, depth: int, rng_seed: int = 
 @_timed
 def check_g_specialization(matrix: ExchangeMatrix, path: tuple[int, ...]) -> VerificationReport:
     """Principal-coefficient variables with all stable variables set to 1
-    must equal the coefficient-free variables along the same path.
-
-    Setting x_{n+1}..x_{2n} to 1 is an exponent map: each term keeps its
-    first n exponents, and terms that land on the same monomial add up."""
+    must equal the coefficient-free variables along the same path."""
     b = matrix.principal()
     pr = principal_seed(b).mutate_path(path)
     cf = coefficient_free_seed(b).mutate_path(path)
-    return _g_spec_verdict(b, path, pr, cf)
+    return _path_report("g-spec", b, path, _g_spec_witness(pr, cf))
 
 
-@_timed
-def _g_spec_verdict(b: ExchangeMatrix, path, pr: Seed, cf: Seed) -> VerificationReport:
-    instance = f"B={b.to_json()} path={list(path)}"
-    for i in range(b.n):
+def _g_spec_witness(pr: Seed, cf: Seed) -> str | None:
+    """The first slot where they differ.  Setting x_{n+1}..x_{2n} to 1 keeps
+    the first n exponents of each term and adds up terms that then meet."""
+    for i, (x, y) in enumerate(zip(pr.cluster, cf.cluster)):
         terms: dict[tuple[int, ...], int] = {}
-        for exps, coeff in pr.cluster[i].terms.items():
-            terms[exps[:b.n]] = terms.get(exps[:b.n], 0) + coeff
+        for exps, coeff in x.terms.items():
+            terms[exps[:cf.n]] = terms.get(exps[:cf.n], 0) + coeff
         specialized = LaurentPolynomial(cf.vars, terms)
-        if specialized != cf.cluster[i]:
-            witness = f"variable {i + 1}: {specialized} != {cf.cluster[i]}"
-            return VerificationReport("g-spec", instance, REFUTED, witness)
-    return VerificationReport("g-spec", instance, CONFIRMED, None, {"variables": b.n})
+        if specialized != y:
+            return f"variable {i + 1}: {specialized} != {y}"
+    return None
+
+
+def _path_report(check: str, b: ExchangeMatrix, path, witness: str | None) -> VerificationReport:
+    instance = f"B={b.to_json()} path={list(path)}"
+    if witness:
+        return VerificationReport(check, instance, REFUTED, witness)
+    return VerificationReport(check, instance, CONFIRMED, None, {"variables": b.n})
 
 
 # -- toric action invariance -----------------------------------------------------
@@ -261,102 +249,111 @@ def _g_spec_verdict(b: ExchangeMatrix, path, pr: Seed, cf: Seed) -> Verification
 def check_toric_invariance(matrix: ExchangeMatrix, path: tuple[int, ...]) -> VerificationReport:
     """Rescaling the initial extended cluster by the kernel weights must
     multiply every cluster variable by a Laurent monomial in the formal
-    parameters t1..tn.
-
-    The rescaling x_i -> x_i * prod_j t_j^{w^j_i} sends a term x^e to
-    x^e * t^(e.w^1, ..., e.w^n) with its coefficient unchanged, so the
-    ratio is a t-monomial iff every term of the variable has the same
-    weight degree (e.w^1, ..., e.w^n); no t parameter is ever adjoined."""
+    parameters t1..tn."""
     b = matrix.principal()
-    weights = compute_toric_weights(b)
     seed = principal_seed(b).mutate_path(path)
-    return _toric_verdict(b, path, weights, seed)
+    return _path_report("toric", b, path, _toric_witness(compute_toric_weights(b), seed))
 
 
-@_timed
-def _toric_verdict(b: ExchangeMatrix, path, weights, seed: Seed) -> VerificationReport:
-    instance = f"B={b.to_json()} path={list(path)}"
-    for i in range(b.n):
-        degrees = sorted({_weight_degree(exps, weights) for exps in seed.cluster[i].terms})
+def _toric_witness(weights, seed: Seed) -> str | None:
+    """The first variable with terms of two weight degrees: x_i -> x_i *
+    prod_j t_j^{w^j_i} sends a term x^e to x^e * t^(e.w^1, ..., e.w^n), so
+    the ratio is a t-monomial iff all terms share that degree."""
+    for i, x in enumerate(seed.cluster):
+        degrees = sorted({tuple(sum(e * w for e, w in zip(exps, ws)) for ws in weights) for exps in x.terms})
         if len(degrees) > 1:
-            witness = f"variable {i + 1}: terms of weight degrees {degrees[0]} and {degrees[1]}"
-            return VerificationReport("toric", instance, REFUTED, witness)
-    return VerificationReport("toric", instance, CONFIRMED, None, {"variables": b.n})
+            return f"variable {i + 1}: terms of weight degrees {degrees[0]} and {degrees[1]}"
+    return None
 
 
-def _weight_degree(exps: tuple[int, ...], weights) -> tuple[int, ...]:
-    """(e.w^1, ..., e.w^n) for the exponent vector e over x1..x2n."""
-    return tuple(sum(e * x for e, x in zip(exps, w)) for w in weights)
+# -- one joint enumeration for coincide, g-spec and toric ---------------------------
 
 
-def check_tree(
-    matrix: ExchangeMatrix, depth: int, checks, rng_seed: int = 0, path_depth: int | None = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
+def check_joint_graph(
+    matrix: ExchangeMatrix, depth: int, checks, rng_seed: int = 0,
+    max_vertices: int = DEFAULT_MAX_VERTICES, max_terms: int = DEFAULT_MAX_TERMS,
 ) -> list[VerificationReport]:
-    """The reports of check_graph_coincidence, check_g_specialization and
-    check_toric_invariance (det B = 0 gives one inconclusive toric report),
-    for the checks named, read off one breadth-first walk of the reduced
-    paths up to depth, min(depth, path_depth) for the last two.  The walk
-    mutates the principal seed, plus the coefficient-free one for coincide
-    or g-spec, plus the random tropical one for coincide; BudgetExceeded
-    means a seed it made holds over max_terms terms in its cluster."""
+    """The coincide, g-spec and toric reports named in checks, read off one
+    enumeration of the principal seed to depth with the coefficient-free
+    seed (coincide, g-spec) and the seeded random tropical one (coincide)
+    as companions.  Refutations name paths in the initial seed's own
+    directions; a frontier leaves a confirmation inconclusive."""
     b = matrix.principal()
     det = int_det(b.rows)
-    coincide, g_spec = "coincide" in checks, "g-spec" in checks
-    if coincide and depth < 0:
-        raise ContextMismatch("depth must be nonnegative")
-    path_depth = depth if path_depth is None else min(depth, path_depth)
+    instance = f"B={b.to_json()} depth={depth}"
+    sides = {"coefficient-free": coefficient_free_seed(b)} if {"coincide", "g-spec"} & set(checks) else {}
+    if "coincide" in checks:
+        sides["random-tropical"] = random_tropical_seed(b, b.n, rng_seed)
     weights = compute_toric_weights(b) if "toric" in checks and det else None
-    roots = (principal_seed(b),)
-    if coincide or g_spec:
-        roots += (coefficient_free_seed(b),)
-    if coincide:
-        roots += (random_tropical_seed(b, b.n, rng_seed),)
-    labels: list[list[int]] = [[] for _ in roots] if coincide else []
-    reports, toric = [], []
-    walked = coincide or g_spec or weights
-    tree = _reduced_tree(b.n, depth if coincide else path_depth, roots) if walked else ()
-
-    def walk():
-        for path, seeds in _glued(tree, labels):
-            if path and any(sum(len(p.terms) for p in s.cluster) > max_terms for s in seeds):
-                raise BudgetExceeded(f"term budget {max_terms} exhausted at path {list(path)}")
-            if g_spec and len(path) <= path_depth:
-                reports.append(_g_spec_verdict(b, path, *seeds[:2]))
-            if weights and len(path) <= path_depth:
-                toric.append(_toric_verdict(b, path, weights, seeds[0]))
-            yield path
-
-    if coincide:
-        reports.insert(0, _coincide_verdict(b, depth, det, walk(), labels))
-    else:
-        for _ in walk():
-            pass
+    reports = []
+    if sides or weights:
+        initial = principal_seed(b)
+        graph = enumerate_graph(initial, depth, max_vertices, max_terms, tuple(sides.values()))
+        if "coincide" in checks:
+            reports.append(_coincide_verdict(f"{instance} det={det}", det, graph, initial, sides))
+        if "g-spec" in checks:
+            pairs = enumerate(zip(graph.seeds, graph.companions))
+            bad = (v for v, (pr, cf) in pairs if _g_spec_witness(pr, cf[0]))
+            reports.append(_vertex_verdict("g-spec", check_g_specialization, b, instance, graph, initial, bad))
+        if weights:
+            bad = (v for v, seed in enumerate(graph.seeds) if _toric_witness(weights, seed))
+            reports.append(_vertex_verdict("toric", check_toric_invariance, b, instance, graph, initial, bad))
     if "toric" in checks and not det:
-        toric.append(VerificationReport(
+        reports.append(VerificationReport(
             "toric", f"B={b.to_json()}", INCONCLUSIVE, "det B = 0: nondegeneracy hypothesis unmet"
         ))
-    return reports + toric
+    return reports
+
+
+def _route(graph: ExchangeGraph, initial: Seed, v: int, *last: int) -> tuple[int, ...]:
+    """A shortest path to vertex v, then v's directions last, translated from
+    canonical slots to initial's own directions for initial.mutate_path."""
+    steps = list(last)
+    while v:
+        v, k = min((u, k) for u, nbrs in enumerate(graph.neighbors) for k, w in nbrs.items()
+                   if w == v and graph.depths[u] < graph.depths[v])
+        steps.insert(0, k)
+    path, seed = [], initial
+    for k in steps:
+        path.append(seed.canonical_permutation()[k - 1] + 1)
+        seed = seed.mutate(path[-1])
+    return tuple(path)
+
+
+def _whole_graph(check: str, instance: str, graph: ExchangeGraph, stats: dict) -> VerificationReport:
+    if graph.complete:
+        return VerificationReport(check, instance, CONFIRMED, None, stats)
+    return VerificationReport(check, instance, INCONCLUSIVE, "frontier hit; enumeration incomplete", stats)
 
 
 @_timed
-def _coincide_verdict(b: ExchangeMatrix, depth: int, det: int, walk, labels) -> VerificationReport:
-    """Drive the walk, which labels every node on each side, then compare
-    the principal side's labels with each other side's."""
-    paths = list(walk)
-    instance = f"B={b.to_json()} depth={depth} det={det}"
-    stats = {"nondegenerate": det != 0, "nodes": 0}
-    for name, other in zip(("coefficient-free", "random-tropical"), labels[1:]):
-        result = _lockstep(paths, labels[0], other)
-        stats["nodes"] += result.nodes
-        stats[f"covers:{name}"] = result.a_covers_b
-        if not result.coincide:
-            witness = (
-                f"principal vs {name}: paths {list(result.divergence[0])} and "
-                f"{list(result.divergence[1])} glued on one side only"
-            )
-            return VerificationReport("coincide", instance, REFUTED, witness, stats)
-    return VerificationReport("coincide", instance, CONFIRMED, None, stats)
+def _coincide_verdict(instance: str, det: int, graph: ExchangeGraph, initial: Seed, sides):
+    """The paths to an unglued edge, or to two vertices storing equivalent
+    seeds on one side, refute if replayed they are glued on one side only."""
+    stats = {"nondegenerate": det != 0, "vertices": graph.vertex_count}
+    for i, (name, root) in enumerate(sides.items()):
+        first: dict[tuple, int] = {}
+        twins = ((v, first.setdefault(s[i].key(), v)) for v, s in enumerate(graph.companions))
+        pairs = itertools.chain(
+            (((u, k), (graph.neighbors[u][k],)) for u, k in graph.unglued),
+            (((v,), (w,)) for v, w in twins if v != w),
+        )
+        for p, q in ((_route(graph, initial, *a), _route(graph, initial, *b)) for a, b in pairs):
+            if len({s.mutate_path(p).key() == s.mutate_path(q).key() for s in (initial, root)}) > 1:
+                witness = f"principal vs {name}: paths {list(p)} and {list(q)} glued on one side only"
+                return VerificationReport("coincide", instance, REFUTED, witness, stats)
+    return _whole_graph("coincide", instance, graph, stats)
+
+
+@_timed
+def _vertex_verdict(check: str, per_path, b, instance: str, graph: ExchangeGraph, initial: Seed, bad):
+    """per_path's report on the path to the first of the bad vertices, where
+    the slot-aligned seeds fail the check, else the whole graph's verdict."""
+    for v in bad:
+        report = per_path(b, _route(graph, initial, v))
+        if report.verdict == REFUTED:
+            return report
+    return _whole_graph(check, instance, graph, {"vertices": graph.vertex_count})
 
 
 # -- Laurent phenomenon ------------------------------------------------------------
@@ -414,8 +411,8 @@ def run_checks(
     laurent read one exchange graph of seed enumerated to depth (laurent
     catches only budget and division errors, which enumerating it would
     raise; it enumerates its own only when the other two do not run).
-    coincide, g-spec and toric read one check_tree walk of matrix, with
-    g-spec and toric capped at path length 4."""
+    coincide, g-spec and toric read one check_joint_graph enumeration of
+    matrix to depth under the same budgets."""
     reports: list[VerificationReport] = []
     if "cluster-seed" in checks or "adjacency" in checks:
         graph = enumerate_graph(seed, depth, max_vertices=max_vertices, max_terms=max_terms)
@@ -427,7 +424,7 @@ def run_checks(
             reports.append(_laurent_verdict(seed, depth, graph))
     elif "laurent" in checks:
         reports.append(check_laurent(seed, depth, max_vertices=max_vertices, max_terms=max_terms))
-    reports.extend(check_tree(matrix, depth, checks, rng_seed, path_depth=4, max_terms=max_terms))
+    reports.extend(check_joint_graph(matrix, depth, checks, rng_seed, max_vertices, max_terms))
     return merge_reports(reports)
 
 

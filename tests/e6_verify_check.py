@@ -1,0 +1,57 @@
+"""`verify --check all` on the whole exchange graph of E6.
+
+A standalone script, not collected by pytest (it takes several seconds):
+
+    PYTHONPATH=src python tests/e6_verify_check.py
+
+E6 has 833 clusters (Fomin and Zelevinsky, Cluster algebras II, 2003).
+From the initial seed below every seed is at most 10 mutations away, so
+at depth 12 both graphs that `verify` enumerates are complete: the
+coefficient-free one for cluster-seed, adjacency and laurent, and the
+principal one, with the coefficient-free and a random tropical seed riding
+along, for coincide, g-spec and toric.  The chain 1 -> 2 -> ... -> 5 with
+the branch 3 -> 6 has det B = 1, so toric invariance applies, and all six
+checks must be confirmed on the whole graph.  Exits nonzero, naming the
+first failed assertion, otherwise.
+"""
+
+import contextlib
+import io
+import sys
+import time
+
+from clustermut import cli
+
+CHECKS = ("adjacency", "cluster-seed", "coincide", "g-spec", "laurent", "toric")
+
+
+def e6_text() -> str:
+    """The chain 1 -> 2 -> ... -> 5 with the branch 3 -> 6."""
+    rows = [[0] * 6 for _ in range(6)]
+    for a, b in ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)):
+        rows[a - 1][b - 1], rows[b - 1][a - 1] = 1, -1
+    return ";".join(" ".join(str(x) for x in row) for row in rows)
+
+
+def main() -> int:
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", e6_text(), "--check", "all", "--depth", "12"])
+    seconds = time.perf_counter() - t0
+    lines = out.getvalue().splitlines()
+    print("\n".join(lines))
+    print(f"exit {code}; {seconds:.1f} s")
+    failures = [
+        label
+        for label, ok in [("exit 0", code == 0), ("six lines", len(lines) == len(CHECKS))]
+        + [(f"{name}: confirmed", f"{name}: confirmed" in lines) for name in CHECKS]
+        if not ok
+    ]
+    for label in failures:
+        print(f"failed: {label}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,11 +35,13 @@ from clustermut import (
     verify_compatibility,
 )
 from clustermut import cli
+from clustermut.verify import check_joint_graph
 
 A2 = ExchangeMatrix.from_rows([[0, 1], [-1, 0]])
 B2 = ExchangeMatrix.from_rows([[0, 1], [-2, 0]])
 G2 = ExchangeMatrix.from_rows([[0, 1], [-3, 0]])
 A3 = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+D4 = ExchangeMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]])
 MARKOV = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
 WILD2 = ExchangeMatrix.from_rows([[0, 3], [-3, 0]])
 
@@ -95,6 +97,9 @@ def test_criterion_04_exchange_graph_coincidence():
         for name, matrix in (("A2", A2), ("A3", A3), ("G2", G2)):
             report = check_graph_coincidence(matrix, 6)
             assert report.verdict == "confirmed", (name, report.witness)
+        # the whole D4 graph, each of its 50 seeds glued alike on all sides
+        report = check_graph_coincidence(D4, 12)
+        assert (report.verdict, report.stats["vertices"]) == ("confirmed", 50), report.witness
 
 
 def test_criterion_05_compatible_form_dimension():
@@ -156,6 +161,8 @@ def test_criterion_09_g_specialization():
         for path in reduced_paths(3, 4):
             report = check_g_specialization(A3, path)
             assert report.verdict == "confirmed", (path, report.witness)
+        (report,) = check_joint_graph(A3, 12, ("g-spec",))
+        assert (report.verdict, report.stats["vertices"]) == ("confirmed", 14), report.witness
 
 
 def test_criterion_10_toric_weights():
@@ -168,6 +175,8 @@ def test_criterion_10_toric_weights():
         for path in reduced_paths(2, 4):
             report = check_toric_invariance(A2, path)
             assert report.verdict == "confirmed", (path, report.witness)
+        (report,) = check_joint_graph(G2, 12, ("toric",))
+        assert (report.verdict, report.stats["vertices"]) == ("confirmed", 8), report.witness
 
 
 def test_criterion_11_byte_determinism(capsys):

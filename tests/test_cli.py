@@ -156,7 +156,7 @@ def test_budget_env_override(capsys, monkeypatch):
 
 def test_refuted_verification_exits_one(capsys, monkeypatch):
     refuted = VerificationReport("coincide", "forced", "refuted", "synthetic witness")
-    monkeypatch.setattr(verify, "check_tree", lambda *a, **k: [refuted])
+    monkeypatch.setattr(verify, "check_joint_graph", lambda *a, **k: [refuted])
     code, out = run(["verify", A2_TEXT, "--check", "coincide"], capsys)
     assert code == cli.EXIT_REFUTED
     assert "refuted" in out
@@ -292,11 +292,31 @@ def test_tree_checks_validate_coeffs(check, matrix, coeffs, message, capsys):
 
 @pytest.mark.parametrize("check", ["coincide", "g-spec", "toric"])
 def test_tree_checks_honour_the_term_budget(check, capsys):
-    # x1' = (1 + x2)/x1 already holds two terms, so the first node is over
-    code = cli.main(["verify", A2_TEXT, "--check", check, "--max-terms", "1", "--max-vertices", "1"])
+    # the principal root holds two terms, the first vertex found two more
+    code = cli.main(["verify", A2_TEXT, "--check", check, "--max-terms", "2"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_BUDGET
-    assert (captured.out, captured.err) == ("", "error: term budget 1 exhausted at path [1]\n")
+    assert (captured.out, captured.err) == ("", "error: term budget 2 exhausted\n")
+
+
+@pytest.mark.parametrize(
+    "matrix, checks",
+    [
+        # A3 has det B = 0, so toric reports that and enumerates nothing
+        ("0 1 0;-1 0 1;0 -1 0", ("cluster-seed", "adjacency", "coincide", "g-spec")),
+        ("0 1 0 0;-1 0 1 0;0 -1 0 1;0 0 -1 0", ("cluster-seed", "adjacency", "coincide", "g-spec", "toric")),
+    ],
+)
+def test_graph_checks_share_one_term_budget(matrix, checks, capsys):
+    # every check that enumerates a graph reads --max-terms the same way:
+    # the terms of all the seeds it stores (laurent alone reports its
+    # overrun as inconclusive)
+    outcomes = set()
+    for check in checks:
+        code = cli.main(["verify", matrix, "--check", check, "--max-terms", "20"])
+        captured = capsys.readouterr()
+        outcomes.add((code, captured.out, captured.err))
+    assert outcomes == {(cli.EXIT_BUDGET, "", "error: term budget 20 exhausted\n")}
 
 
 def test_timings_give_every_report_its_seconds(capsys):

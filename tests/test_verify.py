@@ -1,5 +1,6 @@
 import itertools
-import random
+import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -29,9 +30,8 @@ from clustermut import (
 )
 from clustermut import cli, seeds, verify
 from clustermut.errors import BudgetExceeded
-from clustermut.graph import LockstepResult, _reduced_tree
+from clustermut.graph import LockstepResult
 from clustermut.seeds import int_det
-from clustermut.semifield import TropicalSemifield
 from clustermut.verify import VerificationReport
 
 
@@ -143,32 +143,44 @@ def test_coincidence_records_degenerate_instances(a3):
     assert r.stats["nondegenerate"] is False
 
 
-class Unglued(Seed):
-    """A seed keyed without canonicalizing, so two paths that reach one
-    seed with its variables in other slots no longer glue."""
-
-    def mutate(self, k):
-        s = Seed.mutate(self, k)
-        return Unglued(s.matrix, s.cluster, s.mode, s.semifield, s.coeffs, s.vars)
-
-    def key(self):
-        return repr((self.matrix.rows, [str(p) for p in self.cluster])).encode()
+def glued_on_one_side_only(witness, b, sides) -> bool:
+    """Replay the two paths of a coincide witness from the principal seed
+    and from the side it names: exactly one of them glues the paths."""
+    name, p, q = re.fullmatch(
+        r"principal vs (\S+): paths \[([\d, ]*)\] and \[([\d, ]*)\] glued on one side only", witness
+    ).groups()
+    p, q = (tuple(int(k) for k in text.split(", ") if k) for text in (p, q))
+    glued = [s.mutate_path(p).key() == s.mutate_path(q).key() for s in (principal_seed(b), sides[name])]
+    return glued[0] != glued[1]
 
 
 def test_coincidence_refutes_an_unglued_other_side(a2, monkeypatch):
+    # the coefficient-free graph of [[0, 2], [-2, 0]] is a tree, so the
+    # pentagon closes on the principal side only
+    doubled = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
     real = verify.coefficient_free_seed
-
-    def unglued(b):
-        s = real(b)
-        return Unglued(s.matrix, s.cluster, s.mode, s.semifield, s.coeffs, s.vars)
-
-    monkeypatch.setattr(verify, "coefficient_free_seed", unglued)
+    monkeypatch.setattr(verify, "coefficient_free_seed", lambda _b: real(doubled))
     report = check_graph_coincidence(a2, 6)
     assert report.verdict == "refuted"
-    # mu1 mu2 mu1 and mu2 mu1 reach one pentagon vertex with x1, x2 swapped
     assert report.witness == (
-        "principal vs coefficient-free: paths [1, 2, 1] and [2, 1] glued on one side only"
+        "principal vs coefficient-free: paths [2, 1, 2] and [1, 2] glued on one side only"
     )
+    assert glued_on_one_side_only(report.witness, a2, {"coefficient-free": real(doubled)})
+
+
+def test_coincidence_refutes_a_side_that_glues_more(monkeypatch):
+    # the principal graph of [[0, 3], [-3, 0]] is a tree, while a
+    # coefficient-free side of A2 closes its pentagon: two vertices store
+    # equivalent coefficient-free seeds
+    wild, a2 = ExchangeMatrix.from_rows([[0, 3], [-3, 0]]), ExchangeMatrix.from_rows([[0, 1], [-1, 0]])
+    real = verify.coefficient_free_seed
+    monkeypatch.setattr(verify, "coefficient_free_seed", lambda _b: real(a2))
+    report = check_graph_coincidence(wild, 3)
+    assert report.verdict == "refuted"
+    assert report.witness == (
+        "principal vs coefficient-free: paths [2, 1, 2] and [1, 2] glued on one side only"
+    )
+    assert glued_on_one_side_only(report.witness, wild, {"coefficient-free": real(a2)})
 
 
 # The coincide check before its walk was shared: one lockstep walk per
@@ -213,13 +225,8 @@ def oracle_coincidence(matrix, depth, rng_seed=0):
     det = int_det(b.rows)
     instance = f"B={b.to_json()} depth={depth} det={det}"
     pr = verify.principal_seed(b)
-    cf = verify.coefficient_free_seed(b)
-    rng = random.Random(rng_seed)
-    tropical = verify.Seed.initial_general(
-        b, TropicalSemifield(b.n), verify.random_tropical_tuple(b.n, b.n, rng)
-    )
     stats = {"nondegenerate": det != 0, "nodes": 0}
-    for name, other in (("coefficient-free", cf), ("random-tropical", tropical)):
+    for name, other in oracle_sides(b, rng_seed).items():
         result = oracle_compare_by_paths(pr, other, depth)
         stats["nodes"] += result.nodes
         stats[f"covers:{name}"] = result.a_covers_b
@@ -232,32 +239,54 @@ def oracle_coincidence(matrix, depth, rng_seed=0):
     return VerificationReport("coincide", instance, "confirmed", None, stats)
 
 
-def unglued(seed):
-    return Unglued(seed.matrix, seed.cluster, seed.mode, seed.semifield, seed.coeffs, seed.vars)
+def oracle_sides(b, rng_seed):
+    return {
+        "coefficient-free": verify.coefficient_free_seed(b),
+        "random-tropical": verify.random_tropical_seed(b, b.n, rng_seed),
+    }
+
+
+ALT_A3 = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, -1], [0, 1, 0]])
 
 
 def test_coincidence_matches_the_two_walk_oracle(rng, monkeypatch):
-    real_cf = verify.coefficient_free_seed
-    cases = [(random_nondegenerate(rng, 2, max_entry=1), 6) for _ in range(4)]
-    cases += [(random_nondegenerate(rng, 4, max_entry=1), 3) for _ in range(2)]
-    cases += [
-        (ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]), 5),
-        (ExchangeMatrix.from_rows([[0, 1], [-3, 0]]), 10),
+    # each matrix as built, then with the coefficient-free or the tropical
+    # side built from the other matrix of its pair, then with one toric
+    # weight entry off by one; the joint walk refutes exactly when the
+    # oracle of each check does.  Random rank 4 stops at depth 3: one such
+    # matrix took 89 s at depth 4.
+    def pair(n, depth):
+        return random_nondegenerate(rng, n, max_entry=1), random_nondegenerate(rng, n, max_entry=1), depth
+
+    cases = [pair(2, 4) for _ in range(4)] + [pair(4, 3) for _ in range(2)] + [
+        (ALT_A3, ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]), 4),
+        (ExchangeMatrix.from_rows([[0, 1], [-3, 0]]), ExchangeMatrix.from_rows([[0, 1], [-2, 0]]), 4),
+        (ExchangeMatrix.from_rows([[0, 1], [-1, 0]]), ExchangeMatrix.from_rows([[0, 2], [-2, 0]]), 4),
+        (ExchangeMatrix.from_rows([[0, 3], [-3, 0]]), ExchangeMatrix.from_rows([[0, 1], [-1, 0]]), 4),
     ]
+    real_cf, real_tropical = verify.coefficient_free_seed, verify.random_tropical_seed
     verdicts = set()
-    for rng_seed, (b, depth) in enumerate(cases):
-        # as built, then unglued on the coefficient-free side, then on the
-        # tropical side (Unglued.initial_general builds an Unglued seed)
-        for side in (None, "coefficient-free", "random-tropical"):
-            if side == "coefficient-free":
-                monkeypatch.setattr(verify, "coefficient_free_seed", lambda m: unglued(real_cf(m)))
-            if side == "random-tropical":
-                monkeypatch.setattr(verify, "Seed", Unglued)
-            got = check_graph_coincidence(b, depth, rng_seed)
-            assert report_fields([got]) == report_fields([oracle_coincidence(b, depth, rng_seed)])
-            verdicts.add((side, got.verdict))
+    for rng_seed, (b, other, depth) in enumerate(cases):
+        for corruption in (None, "coefficient-free", "random-tropical", "weights"):
+            if corruption == "coefficient-free":
+                monkeypatch.setattr(verify, "coefficient_free_seed", lambda _b: real_cf(other))
+            if corruption == "random-tropical":
+                monkeypatch.setattr(
+                    verify, "random_tropical_seed", lambda _b, rank, s: real_tropical(other, rank, s)
+                )
+            if corruption == "weights":
+                if not int_det(b.rows):
+                    continue
+                bad = off_by_one(b, rng)
+                monkeypatch.setattr(verify, "compute_toric_weights", lambda _b: bad)
+            got = assert_joint_matches_per_path(b, depth, ("coincide", "g-spec", "toric"), rng_seed)
+            verdicts |= {(corruption, check, verdict) for check, verdict in got.items()}
             monkeypatch.undo()
-    assert {(None, "confirmed"), ("coefficient-free", "refuted"), ("random-tropical", "refuted")} <= verdicts
+    assert {
+        (None, "coincide", "confirmed"), (None, "g-spec", "confirmed"), (None, "toric", "confirmed"),
+        ("coefficient-free", "coincide", "refuted"), ("coefficient-free", "g-spec", "refuted"),
+        ("random-tropical", "coincide", "refuted"), ("weights", "toric", "refuted"),
+    } <= verdicts
 
 
 # -- G-specialization ---------------------------------------------------------------
@@ -452,28 +481,59 @@ def test_g_specialization_refutes_other_coefficient_free_matrix(a2, monkeypatch,
     assert check_g_specialization(a2, ()).verdict == "confirmed"
     report = check_g_specialization(a2, (1,))
     assert report.verdict == "refuted"
-    witness = "variable 1: x1^-1*x2 + x1^-1 != x1^-1*x2^2 + x1^-1"
+    assert report.witness == "variable 1: x1^-1*x2 + x1^-1 != x1^-1*x2^2 + x1^-1"
+    # verify's walk meets path [2] first: x2 leads the root's canonical order
+    report = check_g_specialization(a2, (2,))
+    witness = "variable 2: x1*x2^-1 + x2^-1 != x1^2*x2^-1 + x2^-1"
     assert report.witness == witness
     assert cli.main(["verify", "0 1;-1 0", "--check", "g-spec"]) == cli.EXIT_REFUTED
     assert capsys.readouterr().out == f"g-spec: refuted [{witness}]\n"
 
 
-# -- one walk for the path checks ----------------------------------------------------
+# -- one joint enumeration for coincide, g-spec and toric ----------------------------
 
 
 def report_fields(reports):
     return [(r.check, r.instance, r.verdict, r.witness, r.stats) for r in reports]
 
 
-def per_path_reports(b, depth, checks):
-    public = {"g-spec": check_g_specialization, "toric": check_toric_invariance}
-    return [public[check](b, path) for check in checks for path in reduced_paths(b.n, depth)]
+PER_PATH = {"g-spec": check_g_specialization, "toric": check_toric_invariance}
 
 
-def assert_walk_matches_per_path(b, depth, checks):
-    walked = verify.check_tree(b, depth, checks)
-    assert report_fields(walked) == report_fields(per_path_reports(b, depth, checks))
-    return {r.verdict for r in walked}
+def assert_joint_matches_per_path(b, depth, checks, rng_seed=0):
+    """check_joint_graph against the per-path checks over every reduced
+    path up to depth, and coincide against oracle_coincidence: each
+    refutes exactly when its oracle does.  A refuted g-spec or toric report
+    is the per-path report of a path up to depth, and a coincide witness
+    replays.  Returns the verdict of each check."""
+    joint = {r.check: r for r in verify.check_joint_graph(b, depth, checks, rng_seed)}
+    assert sorted(joint) == sorted(checks)
+    for check, report in joint.items():
+        if check == "coincide":
+            refuted = oracle_coincidence(b, depth, rng_seed).verdict == "refuted"
+            assert refuted == (report.verdict == "refuted")
+            if refuted:
+                assert glued_on_one_side_only(report.witness, b, oracle_sides(b, rng_seed))
+            continue
+        if check == "toric" and not int_det(b.rows):
+            assert report.witness == "det B = 0: nondegeneracy hypothesis unmet"
+            continue
+        per_path = [PER_PATH[check](b, path) for path in reduced_paths(b.n, depth)]
+        assert any(r.verdict == "refuted" for r in per_path) == (report.verdict == "refuted")
+        if report.verdict == "refuted":
+            path = tuple(json.loads(report.instance.rsplit(" path=", 1)[1]))
+            assert len(path) <= depth
+            assert report_fields([report]) == report_fields([PER_PATH[check](b, path)])
+        else:
+            assert report.stats["vertices"] == len(graph_of(b, depth).seeds)
+    return {check: r.verdict for check, r in joint.items()}
+
+
+def off_by_one(b, rng):
+    """The toric weights of b with one entry moved by one."""
+    bad = [list(w) for w in compute_toric_weights(b)]
+    bad[rng.randrange(b.n)][rng.randrange(2 * b.n)] += rng.choice((-1, 1))
+    return tuple(tuple(w) for w in bad)
 
 
 @pytest.mark.parametrize("n, depth", [(2, 5), (4, 3)])
@@ -482,37 +542,77 @@ def test_path_tree_matches_per_path_checks(n, depth, rng, monkeypatch):
     for _ in range(4):
         b = random_nondegenerate(rng, n, max_entry=1)
         for checks in (["g-spec", "toric"], ["toric"], ["g-spec"]):
-            assert assert_walk_matches_per_path(b, depth, checks) == {"confirmed"}
+            verdicts = assert_joint_matches_per_path(b, depth, checks).values()
+            assert set(verdicts) <= {"confirmed", "inconclusive"}
 
-        # one weight entry off by one
-        bad = [list(w) for w in compute_toric_weights(b)]
-        bad[rng.randrange(n)][rng.randrange(2 * n)] += rng.choice((-1, 1))
-        bad = tuple(tuple(w) for w in bad)
+        bad = off_by_one(b, rng)
         monkeypatch.setattr(verify, "compute_toric_weights", lambda _b: bad)
-        corrupted |= assert_walk_matches_per_path(b, depth, ["g-spec", "toric"])
+        corrupted |= set(assert_joint_matches_per_path(b, depth, ["g-spec", "toric"]).values())
         monkeypatch.undo()
 
         # the coefficient-free side built from another matrix
         other = random_nondegenerate(rng, n, max_entry=1)
         monkeypatch.setattr(verify, "coefficient_free_seed", lambda _b: coefficient_free_seed(other))
-        corrupted |= assert_walk_matches_per_path(b, depth, ["g-spec", "toric"])
+        corrupted |= set(assert_joint_matches_per_path(b, depth, ["g-spec", "toric"]).values())
         monkeypatch.undo()
     assert "refuted" in corrupted
 
 
 def test_path_tree_matches_per_path_checks_on_degenerate_a3(monkeypatch):
-    b = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, -1], [0, 1, 0]])
-    assert assert_walk_matches_per_path(b, 4, ["g-spec"]) == {"confirmed"}
+    # the farthest seeds of alternating A3 are 4 mutations away, so depth 4
+    # leaves them unexpanded
+    assert assert_joint_matches_per_path(ALT_A3, 4, ["g-spec", "toric"]) == {
+        "g-spec": "inconclusive", "toric": "inconclusive",
+    }
     other = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
     monkeypatch.setattr(verify, "coefficient_free_seed", lambda _b: coefficient_free_seed(other))
-    assert "refuted" in assert_walk_matches_per_path(b, 4, ["g-spec"])
+    assert assert_joint_matches_per_path(ALT_A3, 4, ["g-spec"]) == {"g-spec": "refuted"}
 
 
-@pytest.mark.parametrize("depth, mutations", [(4, 543), (5, 1536), (6, 4452)])
-def test_verify_all_walks_the_tree_and_enumerates_the_graph_once(depth, mutations, monkeypatch, capsys):
-    # A4: each tree edge mutates the principal, coefficient-free and random
-    # tropical seeds once (480, 1,452 and 4,368 calls), and the enumeration
-    # computes each graph edge it reaches once (63, then all 84 of them)
+D4 = ExchangeMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]])
+A4 = ExchangeMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]])
+
+
+@pytest.mark.parametrize(
+    "name, matrix, vertices, toric",
+    [
+        ("A3", ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]), 14, "inconclusive"),
+        # D4 has rank 2 (its star has no perfect matching), A4 and G2 full rank
+        ("D4", D4, 50, "inconclusive"),
+        ("A4", A4, 42, "confirmed"),
+        ("G2", ExchangeMatrix.from_rows([[0, 1], [-3, 0]]), 8, "confirmed"),
+    ],
+)
+def test_whole_graph_verdicts_on_finite_types(name, matrix, vertices, toric):
+    reports = verify.check_joint_graph(matrix, 12, ("coincide", "g-spec", "toric"))
+    assert [(r.check, r.verdict) for r in reports] == [
+        ("coincide", "confirmed"), ("g-spec", "confirmed"), ("toric", toric),
+    ]
+    confirmed = toric == "confirmed"
+    assert [r.stats.get("vertices") for r in reports] == [vertices, vertices, vertices if confirmed else None]
+    assert reports[2].witness == (None if confirmed else "det B = 0: nondegeneracy hypothesis unmet")
+
+
+@pytest.mark.parametrize(
+    "matrix, depth",
+    [
+        (ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]), 3),
+        (ExchangeMatrix.from_rows([[0, 3], [-3, 0]]), 4),
+    ],
+)
+def test_whole_graph_verdicts_are_inconclusive_at_the_frontier(matrix, depth):
+    for report in verify.check_joint_graph(matrix, depth, ("coincide", "g-spec", "toric")):
+        assert report.verdict == "inconclusive"
+        assert report.witness in (
+            "frontier hit; enumeration incomplete", "det B = 0: nondegeneracy hypothesis unmet",
+        )
+
+
+@pytest.mark.parametrize("depth, mutations", [(4, 252), (5, 336), (6, 336)])
+def test_verify_all_enumerates_two_graphs(depth, mutations, monkeypatch, capsys):
+    # A4: the coefficient-free enumeration computes each graph edge it
+    # reaches once (63, then all 84 of them), and the joint one mutates the
+    # principal, coefficient-free and random tropical seeds once per edge
     calls = []
     real = Seed.mutate
 
@@ -532,41 +632,44 @@ def test_verify_all_walks_the_tree_and_enumerates_the_graph_once(depth, mutation
     monkeypatch.setattr(verify, "enumerate_graph", counted_enumerate)
     a4 = "0 1 0 0;-1 0 1 0;0 -1 0 1;0 0 -1 0"
     assert cli.main(["verify", a4, "--depth", str(depth)]) == cli.EXIT_OK
-    assert (len(calls), len(enumerations)) == (mutations, 1)
+    assert (len(calls), len(enumerations)) == (mutations, 2)
     assert "refuted" not in capsys.readouterr().out
 
 
 def test_path_checks_mutate_each_tree_edge_once(monkeypatch, capsys):
-    # A4 has 161 reduced paths of length <= 4, so 160 tree edges per root
+    # A4 to depth 4 computes 63 edges: g-spec mutates the principal and
+    # coefficient-free seeds along each, toric only the principal one
     calls = []
     real = Seed.mutate
 
-    def counted(self, k):
+    def counted(self, k, exchanges=None):
         calls.append(k)
-        return real(self, k)
+        return real(self, k, exchanges)
 
     monkeypatch.setattr(Seed, "mutate", counted)
-    a4 = "0 1 0 0;-1 0 1 0;0 -1 0 1;0 0 -1 0"
-    verify.check_tree(cli.load_matrix(a4), 4, ["g-spec", "toric"])
-    assert len(calls) == 320
-    # g-spec walks the principal and coefficient-free roots, toric only the first
-    for check, count in (("g-spec", 320), ("toric", 160)):
+    verify.check_joint_graph(A4, 4, ["g-spec", "toric"])
+    assert len(calls) == 126
+    for check, count in (("g-spec", 126), ("toric", 63)):
         calls.clear()
-        assert cli.main(["verify", a4, "--check", check, "--depth", "4"]) == cli.EXIT_OK
+        assert cli.main(["verify", A4.to_json(), "--check", check, "--depth", "4"]) == cli.EXIT_OK
         assert len(calls) == count
-    assert capsys.readouterr().out == "g-spec: confirmed\ntoric: confirmed\n"
-
-
-def test_tree_walk_bounds_the_terms_of_each_seed(a3):
-    # g-spec walks the principal and coefficient-free seeds
-    roots = (principal_seed(a3), coefficient_free_seed(a3))
-    most = max(
-        sum(len(p.terms) for p in seed.cluster)
-        for path, seeds in _reduced_tree(3, 3, roots) if path for seed in seeds
+    assert capsys.readouterr().out == (
+        "g-spec: inconclusive [frontier hit; enumeration incomplete]\n"
+        "toric: inconclusive [frontier hit; enumeration incomplete]\n"
     )
-    assert len(verify.check_tree(a3, 3, ["g-spec"], max_terms=most)) == len(reduced_paths(3, 3))
-    with pytest.raises(BudgetExceeded, match=rf"^term budget {most - 1} exhausted at path \[[1-3, ]+\]$"):
-        verify.check_tree(a3, 3, ["g-spec"], max_terms=most - 1)
+
+
+def test_joint_graph_bounds_the_terms_it_stores(a3):
+    # g-spec stores the principal and coefficient-free seed of each vertex
+    graph = enumerate_graph(principal_seed(a3), 3, companions=(coefficient_free_seed(a3),))
+    stored = sum(
+        len(p.terms)
+        for pr, sides in zip(graph.seeds, graph.companions) for s in (pr, *sides) for p in s.cluster
+    )
+    (report,) = verify.check_joint_graph(a3, 3, ["g-spec"], max_terms=stored)
+    assert report.verdict == "inconclusive"
+    with pytest.raises(BudgetExceeded, match=rf"^term budget {stored - 1} exhausted$"):
+        verify.check_joint_graph(a3, 3, ["g-spec"], max_terms=stored - 1)
 
 
 def test_every_check_reports_the_seconds_it_took(a2, monkeypatch):
@@ -586,7 +689,7 @@ def test_every_check_reports_the_seconds_it_took(a2, monkeypatch):
         check_yhat_propagation(principal_seed(a2), (1, 2)),
         check_pipeline_agreement(extended, (1,), 2),
     ]
-    reports += verify.check_tree(a2, 2, ["coincide", "g-spec", "toric"])
+    reports += verify.check_joint_graph(a2, 2, ["coincide", "g-spec", "toric"])
     reports += verify.run_checks(a2, coefficient_free_seed(a2), 3, cli.ALL_CHECKS)
     assert all(isinstance(r.seconds, float) and r.seconds > 0 for r in reports)
 
