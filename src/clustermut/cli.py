@@ -317,23 +317,14 @@ def cmd_verify(args, out) -> int:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     out = sys.stdout
     try:
         if getattr(args, "depth", None) is not None and args.depth < 0:
             raise ParseError(f"--depth must be nonnegative, got {args.depth}")
-        if args.command == "mutate":
-            return cmd_mutate(args, out)
-        if args.command == "enumerate":
-            return cmd_enumerate(args, out)
-        if args.command == "export":
-            return cmd_export(args, out)
-        if args.command == "forms":
-            return cmd_forms(args, out)
-        if args.command == "verify":
-            return cmd_verify(args, out)
-        parser.error(f"unknown command {args.command!r}")
+        commands = {"mutate": cmd_mutate, "enumerate": cmd_enumerate, "export": cmd_export,
+                    "forms": cmd_forms, "verify": cmd_verify}
+        return commands[args.command](args, out)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -355,7 +346,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_OK
 
 
 if __name__ == "__main__":

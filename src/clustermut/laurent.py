@@ -87,6 +87,21 @@ def ambient_vars(n: int, m: int = 0, extra: Sequence[str] = ()) -> tuple[str, ..
     return tuple(f"x{i}" for i in range(1, n + m + 1)) + tuple(extra)
 
 
+def fold_terms(p: LaurentPolynomial, const, images: Sequence):
+    """p evaluated at the images, wherever const's values and the images
+    live: each term, in descending term order, is const(coeff) times
+    images[i].pow(e_i) for its nonzero exponents, and the terms are folded
+    left with oplus.  None for the zero polynomial."""
+    acc = None
+    for exps, coeff in p.sorted_terms():
+        val = const(coeff)
+        for im, e in zip(images, exps):
+            if e:
+                val = val * im.pow(e)
+        acc = val if acc is None else acc.oplus(val)
+    return acc
+
+
 class LaurentPolynomial:
     """Canonical-form sparse Laurent polynomial with integer coefficients."""
 
@@ -347,14 +362,8 @@ class LaurentPolynomial:
         if not fracs:
             raise ContextMismatch("empty context cannot be substituted")
         target = fracs[0].num.vars
-        total = LaurentFraction.from_polynomial(LaurentPolynomial.zero(target))
-        for exps, coeff in self.sorted_terms():
-            term = LaurentFraction.from_polynomial(LaurentPolynomial.const(target, coeff))
-            for frac, e in zip(fracs, exps):
-                if e:
-                    term = term * frac.pow(e)
-            total = total + term
-        return total.normalized()
+        total = fold_terms(self, lambda c: LaurentFraction.from_polynomial(LaurentPolynomial.const(target, c)), fracs)
+        return (total or LaurentFraction.from_polynomial(LaurentPolynomial.zero(target))).normalized()
 
     # -- context projection ------------------------------------------------
 
@@ -520,6 +529,10 @@ class LaurentFraction:
         return LaurentFraction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )._strip()
+
+    def oplus(self, other: "LaurentFraction") -> "LaurentFraction":
+        """+, so that fractions serve as semifield values, as y-hat's do."""
+        return self + other
 
     def inv(self) -> "LaurentFraction":
         if self.num.is_zero():

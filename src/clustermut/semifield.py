@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ContextMismatch, ParseError
-from .laurent import LaurentFraction, LaurentPolynomial, parse_poly, render_monomial, strip_content
+from .laurent import LaurentFraction, LaurentPolynomial, fold_terms, parse_poly, render_monomial, strip_content
 
 Y_PREFIX = "y"
 
@@ -262,18 +262,7 @@ def evaluate_y_pattern(expr: SubtractionFreeRational, target, images: Sequence) 
     """
     if len(images) != len(expr.num.vars):
         raise ContextMismatch(f"need {len(expr.num.vars)} images, got {len(images)}")
-
-    def eval_poly(p: LaurentPolynomial):
-        acc = None
-        for exps, coeff in p.sorted_terms():
-            val = target.nat(coeff)
-            for im, e in zip(images, exps):
-                if e:
-                    val = val * im.pow(e)
-            acc = val if acc is None else acc.oplus(val)
-        return acc
-
-    return eval_poly(expr.num) * eval_poly(expr.den).inv()
+    return fold_terms(expr.num, target.nat, images) * fold_terms(expr.den, target.nat, images).inv()
 
 
 def parse_tropical(rank: int, text: str) -> TropicalElement:

@@ -15,13 +15,14 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .errors import BudgetExceeded, NotDivisible
 from .graph import DEFAULT_MAX_TERMS, DEFAULT_MAX_VERTICES, ExchangeGraph, enumerate_graph
 from .laurent import LaurentFraction, LaurentPolynomial
 from .seeds import (
-    ExchangeMatrix, Seed, coefficient_free_seed, compute_toric_weights, int_det, principal_seed,
-    y_pattern_tuple,
+    ExchangeMatrix, Seed, coefficient_free_seed, compute_toric_weights, int_det, mutate_coefficients,
+    principal_seed,
 )
 from .semifield import TropicalElement, TropicalSemifield
 
@@ -292,11 +293,12 @@ def check_joint_graph(
         if "coincide" in checks:
             reports.append(_coincide_verdict(f"{instance} det={det}", det, graph, initial, sides))
         if "g-spec" in checks:
+            # a companion that arrives otherwise on an unglued edge was never stored
             pairs = enumerate(zip(graph.seeds, graph.companions))
-            bad = (v for v, (pr, cf) in pairs if _g_spec_witness(pr, cf[0]))
+            bad = itertools.chain(((v,) for v, (pr, cf) in pairs if _g_spec_witness(pr, cf[0])), graph.unglued)
             reports.append(_vertex_verdict("g-spec", check_g_specialization, b, instance, graph, initial, bad))
         if weights:
-            bad = (v for v, seed in enumerate(graph.seeds) if _toric_witness(weights, seed))
+            bad = ((v,) for v, seed in enumerate(graph.seeds) if _toric_witness(weights, seed))
             reports.append(_vertex_verdict("toric", check_toric_invariance, b, instance, graph, initial, bad))
     if "toric" in checks and not det:
         reports.append(VerificationReport(
@@ -347,10 +349,11 @@ def _coincide_verdict(instance: str, det: int, graph: ExchangeGraph, initial: Se
 
 @_timed
 def _vertex_verdict(check: str, per_path, b, instance: str, graph: ExchangeGraph, initial: Seed, bad):
-    """per_path's report on the path to the first of the bad vertices, where
-    the slot-aligned seeds fail the check, else the whole graph's verdict."""
-    for v in bad:
-        report = per_path(b, _route(graph, initial, v))
+    """per_path's report on the first of the bad routes that it refutes, else
+    the whole graph's verdict.  A route is a vertex (v,) where the
+    slot-aligned seeds fail the check, or an edge (u, k), as _route takes them."""
+    for route in bad:
+        report = per_path(b, _route(graph, initial, *route))
         if report.verdict == REFUTED:
             return report
     return _whole_graph(check, instance, graph, {"vertices": graph.vertex_count})
@@ -433,27 +436,32 @@ def run_checks(
 
 @_timed
 def check_yhat_propagation(initial: Seed, path: tuple[int, ...]) -> VerificationReport:
-    """The y-hat tuple of the seed at the end of the path must equal the
-    Y-pattern expression for that seed evaluated in the ambient field at
-    the initial y-hat tuple."""
+    """Every mutation along the path must carry the y-hat tuple by the
+    Y-seed rule; a refutation names the first step where it does not."""
     instance = f"B={initial.matrix.to_json()} path={list(path)} mode={initial.mode}"
-    yhat0 = initial.yhat()
-    end = initial.mutate_path(path)
-    expected = end.yhat()
-    patterns = y_pattern_tuple(initial.matrix, path)
-    for j in range(initial.n):
-        value = _evaluate_in_field(patterns[j], yhat0)
-        if not value.equals(expected[j]):
-            witness = f"yhat_{j + 1}: pattern gives {value}, seed gives {expected[j]}"
-            return VerificationReport("yhat", instance, REFUTED, witness)
+    seed, yhat = initial, initial.yhat()
+    for step, k in enumerate(path, 1):
+        mutated = seed.mutate(k)
+        after = mutated.yhat()
+        witness = _yhat_witness(seed, k, yhat, after)
+        if witness:
+            return VerificationReport("yhat", instance, REFUTED, f"step {step} (direction {k}): {witness}")
+        seed, yhat = mutated, after
     return VerificationReport("yhat", instance, CONFIRMED, None, {"variables": initial.n})
 
 
-def _evaluate_in_field(pattern, images: tuple[LaurentFraction, ...]) -> LaurentFraction:
-    """Evaluate a subtraction-free expression at ambient-field fractions."""
-    num = pattern.num.substitute(images)
-    den = pattern.den.substitute(images)
-    return num * den.inv()
+def _yhat_witness(seed: Seed, k: int, before, after) -> str | None:
+    """The first slot where the y-hat tuple after mutating seed in direction
+    k differs from the Y-seed rule applied to before, seed's y-hat tuple:
+    y-hat forms a Y-pattern in the ambient field (Fomin and Zelevinsky,
+    Cluster algebras IV, Compositio 2007, Prop. 3.9)."""
+    one = LaurentFraction.from_polynomial(LaurentPolynomial.one(seed.vars))
+    # the ambient field as mutate_coefficients' semifield: its oplus is the fractions' +
+    rule = mutate_coefficients(before, seed.matrix.principal(), k, SimpleNamespace(one=lambda: one))
+    for j, (got, want) in enumerate(zip(rule, after)):
+        if not got.equals(want):
+            return f"yhat_{j + 1}: rule gives {got}, seed gives {want}"
+    return None
 
 
 # -- pipeline agreement ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import re
@@ -7,10 +8,12 @@ import pytest
 
 from clustermut import (
     ClusterMutError,
+    ContextMismatch,
     ExchangeMatrix,
     LaurentPolynomial,
     NotDivisible,
     Seed,
+    SubtractionFreeSemifield,
     check_adjacency,
     check_cluster_determines_seed,
     check_g_specialization,
@@ -490,6 +493,37 @@ def test_g_specialization_refutes_other_coefficient_free_matrix(a2, monkeypatch,
     assert capsys.readouterr().out == f"g-spec: refuted [{witness}]\n"
 
 
+def test_g_specialization_checks_unglued_edges(a2, monkeypatch, capsys):
+    # the coefficient-free seed stored at vertex 3 is right, but the one that
+    # arrives on the non-tree edge (3, 1) has its new variable negated
+    graph = enumerate_graph(principal_seed(a2), 6, companions=(coefficient_free_seed(a2),))
+    (stored,) = graph.companions[3]
+    real = Seed.mutate
+
+    def corrupted(self, k, exchanges=None):
+        child = real(self, k, exchanges)
+        # the coefficient-free seed of vertex 3, in any slot order, mutated at stored's slot 1
+        at_vertex_3 = self.mode == "general" and set(self.cluster) == set(stored.cluster)
+        if at_vertex_3 and self.cluster[k - 1] == stored.cluster[0]:
+            cluster = list(child.cluster)
+            cluster[k - 1] = -cluster[k - 1]
+            child = dataclasses.replace(child, cluster=tuple(cluster))
+        return child
+
+    monkeypatch.setattr(Seed, "mutate", corrupted)
+    graph = enumerate_graph(principal_seed(a2), 6, companions=(coefficient_free_seed(a2),))
+    assert graph.unglued == [(3, 1)]
+    assert graph.companions[3] == (stored,)
+    per_path = check_g_specialization(a2, (2, 1, 2))
+    assert per_path.verdict == "refuted"
+    assert per_path.witness == "variable 2: x1^-1*x2 + x1^-1 != -x1^-1*x2 - x1^-1"
+    (report,) = verify.check_joint_graph(a2, 6, ("g-spec",))
+    assert report_fields([report]) == report_fields([per_path])
+    assert check_graph_coincidence(a2, 6).verdict == "refuted"
+    assert cli.main(["verify", "0 1;-1 0", "--check", "g-spec"]) == cli.EXIT_REFUTED
+    assert capsys.readouterr().out == f"g-spec: refuted [{per_path.witness}]\n"
+
+
 # -- one joint enumeration for coincide, g-spec and toric ----------------------------
 
 
@@ -741,13 +775,25 @@ def test_yhat_propagation_a2_paths(a2):
 
 def test_yhat_refutes_a_pattern_of_another_matrix(a2, monkeypatch):
     doubled = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
-    real = verify.y_pattern_tuple
-    monkeypatch.setattr(verify, "y_pattern_tuple", lambda _m, path: real(doubled, path))
+    real = verify.mutate_coefficients
+    monkeypatch.setattr(verify, "mutate_coefficients", lambda yhat, _b, k, field: real(yhat, doubled, k, field))
     initial = coefficient_free_seed(a2)
     assert check_yhat_propagation(initial, ()).verdict == "confirmed"
     report = check_yhat_propagation(initial, (1,))
     assert report.verdict == "refuted"
-    assert report.witness == "yhat_2: pattern gives (x2^2 + 2*x2 + 1) / (x1), seed gives x1^-1*x2 + x1^-1"
+    assert report.witness == (
+        "step 1 (direction 1): yhat_2: rule gives (x2^2 + 2*x2 + 1) / (x1), seed gives x1^-1*x2 + x1^-1"
+    )
+    # the first bad step is named, whatever comes after it
+    assert check_yhat_propagation(initial, (2, 1)).witness.startswith("step 1 (direction 2): ")
+
+
+def test_yhat_over_subtraction_free_coefficients_stops_at_the_first_mutation(b2):
+    sf = SubtractionFreeSemifield(2)
+    initial = Seed.initial_general(b2, sf, sf.identity_tuple())
+    assert check_yhat_propagation(initial, ()).verdict == "confirmed"
+    with pytest.raises(ContextMismatch, match="mutate the y-tuple with mutate_coefficients instead"):
+        check_yhat_propagation(initial, (1,))
 
 
 # -- merging -----------------------------------------------------------------------------
