@@ -129,6 +129,9 @@ def build_seed(matrix: ExchangeMatrix, coeffs: str, rng_seed: int) -> Seed:
             raise ParseError(f"negative tropical rank in {path}")
         if len(tuples) != matrix.n:
             raise ParseError(f"need {matrix.n} coefficient vectors")
+        for i, t in enumerate(tuples, 1):
+            if len(t.exps) != rank:
+                raise ParseError(f"coefficient vector {i} in {path} has {len(t.exps)} entries, not rank {rank}")
         return Seed.initial_general(matrix, TropicalSemifield(rank), tuple(tuples))
     raise ParseError(f"unknown coefficient mode {coeffs!r}")
 

@@ -9,6 +9,7 @@ a fixed order, so the resulting graph is byte-deterministic.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -306,7 +307,7 @@ def enumerate_graph(
 
 @dataclass
 class LockstepResult:
-    """Outcome of walking the n-regular tree with two seeds in lockstep."""
+    """Outcome of comparing how two seeds glue the reduced mutation paths."""
 
     coincide: bool
     divergence: tuple[tuple[int, ...], tuple[int, ...]] | None
@@ -315,32 +316,54 @@ class LockstepResult:
     b_covers_a: bool
 
 
-def _reduced_tree(n: int, depth: int, roots: tuple[Seed, ...] = ()):
-    """Yield (path, seeds) for every mutation path up to the given length
-    with no immediate backtracking, in breadth-first order, as the nodes are
-    made.  The seeds are the roots mutated along the path: each node mutates
-    its parent's seeds once, so only the level being expanded is kept."""
-    level = [((), roots)]
-    yield level[0]
-    for length in range(1, depth + 1):
-        parents, level = level, []
-        for path, seeds in parents:
-            for k in range(1, n + 1):
-                if not path or k != path[-1]:
-                    node = (path + (k,), tuple(s.mutate(k) for s in seeds))
-                    if length < depth:
-                        level.append(node)
-                    yield node
+def route(graph: ExchangeGraph, initial: Seed, v: int, *last: int) -> tuple[int, ...]:
+    """A shortest path to vertex v, then v's directions last, translated from
+    canonical slots to initial's own directions for initial.mutate_path."""
+    steps = list(last)
+    while v:
+        v, k = min((u, k) for u, nbrs in enumerate(graph.neighbors) for k, w in nbrs.items()
+                   if w == v and graph.depths[u] < graph.depths[v])
+        steps.insert(0, k)
+    path, seed = [], initial
+    for k in steps:
+        path.append(seed.canonical_permutation()[k - 1] + 1)
+        seed = seed.mutate(path[-1])
+    return tuple(path)
+
+
+def one_sided_gluings(graph: ExchangeGraph, initial: Seed, i: int, root: Seed):
+    """Yield (p, q, glued_by_initial) for the pairs of paths, in initial's
+    own directions, that exactly one of initial (graph's root) and root (its
+    companion i) glues.
+
+    The candidates are the edges in graph.unglued, each against the vertex
+    it reaches, then each vertex whose companion i has the key of an earlier
+    one, against that one.  Pairs are replayed from both roots lazily, so a
+    graph whose companions glue as its seeds do computes no route."""
+    first: dict[tuple, int] = {}
+    twins = ((v, first.setdefault(s[i].key(), v)) for v, s in enumerate(graph.companions))
+    pairs = itertools.chain(
+        (((u, k), (graph.neighbors[u][k],)) for u, k in graph.unglued),
+        (((v,), (w,)) for v, w in twins if v != w),
+    )
+    for a, b in pairs:
+        p, q = route(graph, initial, *a), route(graph, initial, *b)
+        glued = [s.mutate_path(p).key() == s.mutate_path(q).key() for s in (initial, root)]
+        if glued[0] != glued[1]:
+            yield p, q, glued[0]
 
 
 def compare_by_paths(a: Seed, b: Seed, depth: int) -> LockstepResult:
-    """Walk all reduced mutation paths to the given depth and compare the
-    two quotient identifications.
+    """Compare how a and b glue the reduced mutation paths up to depth.
 
-    Both seeds must share the principal exchange matrix and rank.  Each
-    side labels a node by the first node with the same key there; the
-    result reports whether the labels agree, and if not, the first
-    divergent pair of paths in breadth-first order.
+    Both seeds must share the principal exchange matrix and rank.  a's graph
+    is enumerated with b as its companion, under the default budgets; the
+    result reports whether one_sided_gluings finds no pair of paths, the
+    first pair, and whether each side glues every pair the other does.
+    While the enumeration meets no unglued edge, as coefficient independence
+    has it, this is what a walk of the whole tree finds; past an unglued
+    edge, b's gluings are seen only on the replayed pairs.  nodes counts the reduced paths,
+    1 + sum_{d=1..depth} n (n-1)^(d-1).
     """
     if a.n != b.n:
         raise ContextMismatch("seeds have different ranks")
@@ -348,21 +371,17 @@ def compare_by_paths(a: Seed, b: Seed, depth: int) -> LockstepResult:
         raise ContextMismatch("seeds have different principal exchange matrices")
     if depth < 0:
         raise ContextMismatch("depth must be nonnegative")
-    paths, pairs, first = [], [], ({}, {})
-    for path, seeds in _reduced_tree(a.n, depth, (a, b)):
-        pairs.append(tuple(seen.setdefault(s.key(), len(paths)) for seen, s in zip(first, seeds)))
-        paths.append(path)
-    v = next((v for v, (la, lb) in enumerate(pairs) if la != lb), None)
-    return LockstepResult(
-        v is None,
-        None if v is None else (paths[v], paths[min(pairs[v])]),
-        len(paths),
-        all(pairs[la][1] == lb for la, lb in pairs),
-        all(pairs[lb][0] == la for la, lb in pairs),
-    )
+    gluings = list(one_sided_gluings(enumerate_graph(a, depth, companions=(b,)), a, 0, b))
+    by_a = [glued for _, _, glued in gluings]
+    nodes = 1 + sum(a.n * (a.n - 1) ** (d - 1) for d in range(1, depth + 1))
+    return LockstepResult(not gluings, gluings[0][:2] if gluings else None, nodes, not any(by_a), all(by_a))
 
 
 def reduced_paths(n: int, max_len: int) -> list[tuple[int, ...]]:
     """All mutation paths up to max_len with no immediate backtracking,
     in breadth-first order."""
-    return [path for path, _ in _reduced_tree(n, max_len)]
+    paths: list[tuple[int, ...]] = [()]
+    for path in paths:
+        if len(path) < max_len:
+            paths.extend(path + (k,) for k in range(1, n + 1) if not path or k != path[-1])
+    return paths

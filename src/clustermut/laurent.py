@@ -556,8 +556,6 @@ class LaurentFraction:
 
     def normalized(self) -> "LaurentFraction":
         """Canonical form: clear the denominator entirely whenever possible."""
-        if self.num.is_zero():
-            return LaurentFraction(self.num, LaurentPolynomial.one(self.num.vars))
         try:
             return LaurentFraction.from_polynomial(self.num.exact_div(self.den))
         except NotDivisible:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .errors import BudgetExceeded, NotDivisible
-from .graph import DEFAULT_MAX_TERMS, DEFAULT_MAX_VERTICES, ExchangeGraph, enumerate_graph
+from .graph import DEFAULT_MAX_TERMS, DEFAULT_MAX_VERTICES, ExchangeGraph, enumerate_graph, one_sided_gluings, route
 from .laurent import LaurentFraction, LaurentPolynomial
 from .seeds import (
     ExchangeMatrix, Seed, coefficient_free_seed, compute_toric_weights, int_det, mutate_coefficients,
@@ -307,21 +307,6 @@ def check_joint_graph(
     return reports
 
 
-def _route(graph: ExchangeGraph, initial: Seed, v: int, *last: int) -> tuple[int, ...]:
-    """A shortest path to vertex v, then v's directions last, translated from
-    canonical slots to initial's own directions for initial.mutate_path."""
-    steps = list(last)
-    while v:
-        v, k = min((u, k) for u, nbrs in enumerate(graph.neighbors) for k, w in nbrs.items()
-                   if w == v and graph.depths[u] < graph.depths[v])
-        steps.insert(0, k)
-    path, seed = [], initial
-    for k in steps:
-        path.append(seed.canonical_permutation()[k - 1] + 1)
-        seed = seed.mutate(path[-1])
-    return tuple(path)
-
-
 def _whole_graph(check: str, instance: str, graph: ExchangeGraph, stats: dict) -> VerificationReport:
     if graph.complete:
         return VerificationReport(check, instance, CONFIRMED, None, stats)
@@ -330,20 +315,12 @@ def _whole_graph(check: str, instance: str, graph: ExchangeGraph, stats: dict) -
 
 @_timed
 def _coincide_verdict(instance: str, det: int, graph: ExchangeGraph, initial: Seed, sides):
-    """The paths to an unglued edge, or to two vertices storing equivalent
-    seeds on one side, refute if replayed they are glued on one side only."""
+    """The first pair of paths that one_sided_gluings finds for a side refutes."""
     stats = {"nondegenerate": det != 0, "vertices": graph.vertex_count}
     for i, (name, root) in enumerate(sides.items()):
-        first: dict[tuple, int] = {}
-        twins = ((v, first.setdefault(s[i].key(), v)) for v, s in enumerate(graph.companions))
-        pairs = itertools.chain(
-            (((u, k), (graph.neighbors[u][k],)) for u, k in graph.unglued),
-            (((v,), (w,)) for v, w in twins if v != w),
-        )
-        for p, q in ((_route(graph, initial, *a), _route(graph, initial, *b)) for a, b in pairs):
-            if len({s.mutate_path(p).key() == s.mutate_path(q).key() for s in (initial, root)}) > 1:
-                witness = f"principal vs {name}: paths {list(p)} and {list(q)} glued on one side only"
-                return VerificationReport("coincide", instance, REFUTED, witness, stats)
+        for p, q, _ in one_sided_gluings(graph, initial, i, root):
+            witness = f"principal vs {name}: paths {list(p)} and {list(q)} glued on one side only"
+            return VerificationReport("coincide", instance, REFUTED, witness, stats)
     return _whole_graph("coincide", instance, graph, stats)
 
 
@@ -351,9 +328,9 @@ def _coincide_verdict(instance: str, det: int, graph: ExchangeGraph, initial: Se
 def _vertex_verdict(check: str, per_path, b, instance: str, graph: ExchangeGraph, initial: Seed, bad):
     """per_path's report on the first of the bad routes that it refutes, else
     the whole graph's verdict.  A route is a vertex (v,) where the
-    slot-aligned seeds fail the check, or an edge (u, k), as _route takes them."""
-    for route in bad:
-        report = per_path(b, _route(graph, initial, *route))
+    slot-aligned seeds fail the check, or an edge (u, k), as graph.route takes them."""
+    for target in bad:
+        report = per_path(b, route(graph, initial, *target))
         if report.verdict == REFUTED:
             return report
     return _whole_graph(check, instance, graph, {"vertices": graph.vertex_count})

@@ -11,8 +11,11 @@ coefficient-free one for cluster-seed, adjacency and laurent, and the
 principal one, with the coefficient-free and a random tropical seed riding
 along, for coincide, g-spec and toric.  The chain 1 -> 2 -> ... -> 5 with
 the branch 3 -> 6 has det B = 1, so toric invariance applies, and all six
-checks must be confirmed on the whole graph.  Exits nonzero, naming the
-first failed assertion, otherwise.
+checks must be confirmed on the whole graph.  `compare_by_paths` must
+also find that the principal and coefficient-free seeds glue the same
+paths on the whole graph, each covering the other, while counting the
+366,210,937 reduced paths of length at most 12 that a walk of the tree
+would visit.  Exits nonzero, naming the first failed assertion, otherwise.
 """
 
 import contextlib
@@ -20,7 +23,7 @@ import io
 import sys
 import time
 
-from clustermut import cli
+from clustermut import cli, coefficient_free_seed, compare_by_paths, principal_seed
 
 CHECKS = ("adjacency", "cluster-seed", "coincide", "g-spec", "laurent", "toric")
 
@@ -42,10 +45,16 @@ def main() -> int:
     lines = out.getvalue().splitlines()
     print("\n".join(lines))
     print(f"exit {code}; {seconds:.1f} s")
+    e6 = cli.load_matrix(e6_text())
+    t0 = time.perf_counter()
+    paths = compare_by_paths(principal_seed(e6), coefficient_free_seed(e6), 12)
+    print(f"compare_by_paths: {paths}; {time.perf_counter() - t0:.1f} s")
     failures = [
         label
         for label, ok in [("exit 0", code == 0), ("six lines", len(lines) == len(CHECKS))]
         + [(f"{name}: confirmed", f"{name}: confirmed" in lines) for name in CHECKS]
+        + [("paths coincide", paths.coincide and paths.a_covers_b and paths.b_covers_a),
+           ("366210937 paths", paths.nodes == 366210937)]
         if not ok
     ]
     for label in failures:

@@ -265,6 +265,17 @@ def test_coefficient_file_without_rank_is_usage_error(tmp_path, capsys):
     assert "'rank'" in err
 
 
+@pytest.mark.parametrize("command", [["enumerate", "--depth", "0"], ["export", "--format", "json"], ["mutate", "1"]])
+def test_coefficient_vector_of_another_rank_is_usage_error(command, tmp_path, capsys):
+    # a third entry in a rank-2 file once made a graph from_json rejects
+    coeff_file = tmp_path / "coeffs.json"
+    coeff_file.write_text(json.dumps({"rank": 2, "coefficients": [[1, 0, 5], [0, 1, 0]]}))
+    argv = [command[0], A2_TEXT, "--coeffs", f"file:{coeff_file}", *command[1:]]
+    code, err = usage_error(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == f"error: coefficient vector 1 in {coeff_file} has 3 entries, not rank 2\n"
+
+
 @pytest.mark.parametrize("check", ["coincide", "g-spec", "toric"])
 def test_negative_depth_is_usage_error(check, capsys):
     # an empty walk must not read as a confirmation

@@ -275,6 +275,23 @@ def test_compare_walks_every_reduced_path(a3):
     assert compare_by_paths(seed, seed, 4).nodes == len(reduced_paths(3, 4))
 
 
+def test_compare_mutates_each_graph_edge_once(a3, monkeypatch):
+    # A3's graph has 21 edges, each mutated once on either side; walking
+    # the 766 reduced paths to depth 8 in lockstep took 1,530 mutations
+    calls = []
+    real = Seed.mutate
+
+    def counted(self, k, exchanges=None):
+        calls.append(k)
+        return real(self, k, exchanges)
+
+    monkeypatch.setattr(Seed, "mutate", counted)
+    result = compare_by_paths(principal_seed(a3), coefficient_free_seed(a3), 8)
+    assert result.coincide and result.a_covers_b and result.b_covers_a
+    assert len(calls) <= 42
+    assert result.nodes == 766 == len(reduced_paths(3, 8))
+
+
 # -- each edge computed once: differential test against mutating every direction -----
 
 

@@ -23,12 +23,14 @@ from clustermut import (
     check_toric_invariance,
     check_yhat_propagation,
     coefficient_free_seed,
+    compare_by_paths,
     compute_toric_weights,
     enumerate_graph,
     merge_reports,
     parse_poly,
     principal_seed,
     random_nondegenerate,
+    random_skew_symmetrizable,
     reduced_paths,
 )
 from clustermut import cli, seeds, verify
@@ -247,6 +249,27 @@ def oracle_sides(b, rng_seed):
         "coefficient-free": verify.coefficient_free_seed(b),
         "random-tropical": verify.random_tropical_seed(b, b.n, rng_seed),
     }
+
+
+def test_compare_by_paths_matches_the_tree_oracle(rng):
+    # every ordered pair of principal, coefficient-free, rank-n and rank-1
+    # tropical seeds, on seeded random rank-2 and rank-3 matrices (max_entry
+    # 1: the default drew [[0, -6], [4, 0]], 11 s at depth 4), the zero 2x2
+    # and wild rank 2.  divergence is compared only through coincide: the
+    # oracle names the first tree node whose labels part, the joint graph
+    # the first pair that it replays
+    cases = [(random_skew_symmetrizable(rng, 2, max_entry=1), 4) for _ in range(4)]
+    cases += [(random_skew_symmetrizable(rng, 3, max_entry=1), 3) for _ in range(3)]
+    cases += [(ExchangeMatrix.from_rows([[0, 0], [0, 0]]), 4), (ExchangeMatrix.from_rows([[0, 3], [-3, 0]]), 4)]
+    for rng_seed, (b, depth) in enumerate(cases):
+        seeds_ = (
+            principal_seed(b), coefficient_free_seed(b),
+            verify.random_tropical_seed(b, b.n, rng_seed), verify.random_tropical_seed(b, 1, rng_seed),
+        )
+        for x, y in itertools.product(seeds_, repeat=2):
+            got, want = compare_by_paths(x, y, depth), oracle_compare_by_paths(x, y, depth)
+            assert dataclasses.replace(got, divergence=None) == dataclasses.replace(want, divergence=None)
+            assert (got.divergence is None) == got.coincide
 
 
 ALT_A3 = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, -1], [0, 1, 0]])
