@@ -1,8 +1,11 @@
 """Closed 2-forms compatible with a cluster algebra of geometric type.
 
-A form is stored as its skew-symmetric coefficient matrix over exact
-rationals.  Compatibility with an extended matrix B~ means the top n rows
-equal Lambda D B~ for a diagonal Lambda constant on the blocks of B; the
+A form is stored as its skew-symmetric coefficient matrix.  Every form
+this module builds is an integer matrix (D B~ on each block, +-1 on each
+stable pair, and mutation adds only integer multiples), so the entries are
+plain ints; forms built elsewhere with Fraction entries are accepted too.
+Compatibility with an extended matrix B~ means the top n rows equal
+Lambda D B~ for a diagonal Lambda constant on the blocks of B; the
 compatible forms make a space of dimension rho(B) + C(m, 2), the extra
 dimensions being the pure stable-pair forms.
 """
@@ -10,34 +13,25 @@ dimensions being the pure stable-pair forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 from .errors import BadDirection, ClusterMutError, NotCompatible, ZeroRowUnsupported
-from .seeds import ExchangeMatrix, Seed, validate_and_symmetrize
+from .seeds import ExchangeMatrix, validate_and_symmetrize
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class FormCoefficientMatrix:
-    """(n+m) x (n+m) skew-symmetric matrix of exact rationals."""
+    """(n+m) x (n+m) skew-symmetric coefficient matrix."""
 
     omega: Matrix
     n: int
     m: int
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], n: int, m: int) -> "FormCoefficientMatrix":
-        omega = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        size = n + m
-        if len(omega) != size or any(len(r) != size for r in omega):
+    def __post_init__(self):
+        size = self.n + self.m
+        if len(self.omega) != size or any(len(r) != size for r in self.omega):
             raise NotCompatible(f"coefficient matrix must be {size} x {size}")
-        return cls(omega, n, m)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        """1-based accessor."""
-        return self.omega[i - 1][j - 1]
 
     def is_skew_symmetric(self) -> bool:
         size = self.n + self.m
@@ -66,10 +60,10 @@ def compatible_form_space(matrix: ExchangeMatrix) -> FormBasis:
     sym = validate_and_symmetrize(matrix)
     basis = []
     for block in sym.blocks:
-        rows = [[Fraction(0)] * size for _ in range(size)]
+        rows = [[0] * size for _ in range(size)]
         for i in block:
             for j in range(size):
-                rows[i][j] = Fraction(sym.d[i] * matrix.rows[i][j])
+                rows[i][j] = sym.d[i] * matrix.rows[i][j]
         # skew-complete: stable rows mirror the stable columns of block rows
         for i in range(n):
             for j in range(n, size):
@@ -81,9 +75,9 @@ def compatible_form_space(matrix: ExchangeMatrix) -> FormBasis:
         basis.append(FormCoefficientMatrix(tuple(tuple(r) for r in rows), n, m))
     for p in range(n, size):
         for q in range(p + 1, size):
-            rows = [[Fraction(0)] * size for _ in range(size)]
-            rows[p][q] = Fraction(1)
-            rows[q][p] = Fraction(-1)
+            rows = [[0] * size for _ in range(size)]
+            rows[p][q] = 1
+            rows[q][p] = -1
             basis.append(FormCoefficientMatrix(tuple(tuple(r) for r in rows), n, m))
     dim = sym.rho + m * (m - 1) // 2
     if len(basis) != dim:
@@ -93,8 +87,11 @@ def compatible_form_space(matrix: ExchangeMatrix) -> FormBasis:
 
 def verify_compatibility(form: FormCoefficientMatrix, matrix: ExchangeMatrix):
     """Diagnostic check: skew-symmetry and a block-constant Lambda solving
-    Omega[n; n+m] = Lambda D B~.  The latter implies the proportionality
-    relations omega_ij b_ik = omega_ik b_ij, since both sides equal
+    Omega[n; n+m] = Lambda D B~, tested without dividing: a block's lambda
+    is w / s with (w, s) = (omega_ij, d_i b_ij) at its first nonzero entry
+    of B~, and each entry of its rows must satisfy omega_ij s = w d_i b_ij.
+    The latter implies the proportionality relations
+    omega_ij b_ik = omega_ik b_ij, since both sides equal
     lambda d_i b_ij b_ik.  Returns (True, None) or (False, witness).
     """
     n, m = matrix.n, matrix.m
@@ -105,25 +102,20 @@ def verify_compatibility(form: FormCoefficientMatrix, matrix: ExchangeMatrix):
         return False, "not skew-symmetric"
     sym = validate_and_symmetrize(matrix)
     for block in sym.blocks:
-        lam = None
+        # zero rows leave lambda free; all entries must vanish then
+        w, s = next(
+            ((form.omega[i][j], sym.d[i] * matrix.rows[i][j])
+             for i in block for j in range(size) if matrix.rows[i][j] != 0),
+            (0, 1),
+        )
         for i in block:
             for j in range(size):
-                if matrix.rows[i][j] != 0:
-                    lam = form.omega[i][j] / (sym.d[i] * matrix.rows[i][j])
-                    break
-            if lam is not None:
-                break
-        if lam is None:
-            # zero rows leave lambda free; all entries must vanish then
-            lam = Fraction(0)
-        for i in block:
-            for j in range(size):
-                if form.omega[i][j] != lam * sym.d[i] * matrix.rows[i][j]:
+                if form.omega[i][j] * s != w * sym.d[i] * matrix.rows[i][j]:
                     return False, f"entry ({i + 1}, {j + 1}) breaks Omega = Lambda D B"
     return True, None
 
 
-def mutate_form(form: FormCoefficientMatrix, seed_or_matrix, k: int) -> FormCoefficientMatrix:
+def mutate_form(form: FormCoefficientMatrix, matrix: ExchangeMatrix, k: int) -> FormCoefficientMatrix:
     """Coefficient matrix of the same 2-form in the cluster adjacent in
     direction k.
 
@@ -131,7 +123,6 @@ def mutate_form(form: FormCoefficientMatrix, seed_or_matrix, k: int) -> FormCoef
     in the mixed-sign case, picking up omega_{kl} b_kj (for b_kj > 0 and
     b_kl < 0, read from the pre-mutation matrix).
     """
-    matrix = seed_or_matrix.matrix if isinstance(seed_or_matrix, Seed) else seed_or_matrix
     if not 1 <= k <= matrix.n:
         raise BadDirection(f"direction {k} outside [1, {matrix.n}]")
     ok, witness = verify_compatibility(form, matrix)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clustermut import cli, verify
+from clustermut import LaurentPolynomial, NotDivisible, cli, verify
 from clustermut.verify import VerificationReport
 
 A2_TEXT = "0 1\n-1 0"
@@ -274,6 +274,44 @@ def test_coefficient_vector_of_another_rank_is_usage_error(command, tmp_path, ca
     code, err = usage_error(argv, capsys)
     assert code == cli.EXIT_USAGE
     assert err == f"error: coefficient vector 1 in {coeff_file} has 3 entries, not rank 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, file_text, message",
+    [
+        (["enumerate", A2_TEXT, "--coeffs", "tropical:x"], None, "bad tropical rank in 'tropical:x'"),
+        (["enumerate", A2_TEXT, "--coeffs", "bogus"], None, "unknown coefficient mode 'bogus'"),
+        (["enumerate", A2_TEXT, "--coeffs", "file:{file}"], "not json",
+         "bad coefficient file {file}: Expecting value: line 1 column 1 (char 0)"),
+        (["enumerate", A2_TEXT, "--coeffs", "file:{file}"], '{"rank": -1, "coefficients": [[], []]}',
+         "negative tropical rank in {file}"),
+        (["enumerate", A2_TEXT, "--coeffs", "file:{file}"], '{"rank": 1, "coefficients": [[1]]}',
+         "need 2 coefficient vectors"),
+        (["mutate", A2_TEXT, "1,x"], None, "bad mutation path '1,x'; expected comma-separated directions"),
+    ],
+)
+def test_bad_coefficients_and_paths_are_usage_errors(argv, file_text, message, tmp_path, capsys):
+    coeff_file = tmp_path / "coeffs.json"
+    if file_text is not None:
+        coeff_file.write_text(file_text)
+    argv = [a.format(file=coeff_file) for a in argv]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(file=coeff_file)}\n"
+
+
+def test_engine_error_exits_one_with_one_line(capsys, monkeypatch):
+    def failing(self, other):
+        raise NotDivisible("injected: leading monomial not divisible")
+
+    monkeypatch.setattr(LaurentPolynomial, "exact_div", failing)
+    code = cli.main(["verify", "0 1;-1 0", "--check", "cluster-seed"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_REFUTED == 1
+    assert captured.out == ""
+    assert captured.err == "error: injected: leading monomial not divisible\n"
 
 
 @pytest.mark.parametrize("check", ["coincide", "g-spec", "toric"])

@@ -76,6 +76,37 @@ def test_verify_detects_perturbation(a2):
     assert "(1, 2)" in witness or "skew" in witness
 
 
+def test_zero_row_block_admits_only_the_zero_row():
+    # row 3 of B~ is zero, so its block leaves Lambda free and its row of Omega must vanish
+    matrix = ExchangeMatrix.from_json('{"n":3,"m":1,"rows":[[0,1,0,0],[-1,0,0,0],[0,0,0,0]]}')
+    rows = [[0] * 4 for _ in range(4)]
+    zero = FormCoefficientMatrix(tuple(tuple(r) for r in rows), 3, 1)
+    assert verify_compatibility(zero, matrix) == (True, None)
+    rows[2][3], rows[3][2] = 1, -1
+    form = FormCoefficientMatrix(tuple(tuple(r) for r in rows), 3, 1)
+    assert verify_compatibility(form, matrix) == (False, "entry (3, 4) breaks Omega = Lambda D B")
+
+
+def test_verify_rejects_a_form_of_another_shape(a2):
+    form = compatible_form_space(a2).basis[0]
+    assert verify_compatibility(form, principal_extension(a2)) == (False, "shape mismatch")
+
+
+@pytest.mark.parametrize("omega", [((0, 1),), ((0, 1), (-1, 0, 0)), ((0, 1, 0), (-1, 0, 0), (0, 0, 0))])
+def test_form_of_the_wrong_size_is_rejected(omega):
+    with pytest.raises(NotCompatible, match="coefficient matrix must be 2 x 2"):
+        FormCoefficientMatrix(omega, 2, 0)
+
+
+def test_engine_made_forms_have_int_entries(g2):
+    # the matrix of the forms_extended_mutate_json golden case
+    extended = ExchangeMatrix.from_json('{"n":3,"m":2,"rows":[[0,1,0,1,-1],[-1,0,2,0,1],[0,-1,0,2,0]]}')
+    for matrix in (extended, g2):
+        for form in compatible_form_space(matrix).basis:
+            made = [form] + [mutate_form(form, matrix, k) for k in range(1, matrix.n + 1)]
+            assert all(type(x) is int for f in made for r in f.omega for x in r)
+
+
 def oracle_compatible(omega, matrix):
     """Independent test: Omega is skew-symmetric and each of its first n
     rows is a rational multiple of the same row of B~."""
@@ -244,7 +275,7 @@ def _rank(vectors):
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         for r in range(len(rows)):
             if r != rank and rows[r][c] != 0:
-                factor = rows[r][c] / rows[rank][c]
+                factor = Fraction(rows[r][c]) / rows[rank][c]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
