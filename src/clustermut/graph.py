@@ -9,7 +9,6 @@ a fixed order, so the resulting graph is byte-deterministic.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -45,7 +44,6 @@ class ExchangeGraph:
     complete: bool
     stats: dict = field(default_factory=dict)
     companions: list[tuple[Seed, ...]] = field(default_factory=list)
-    unglued: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def vertex_count(self) -> int:
@@ -200,8 +198,12 @@ def enumerate_graph(
     Each companion seed is mutated along every edge computed, with its own
     memo, and permuted as initial's side is (initial needs distinct cluster
     variables, as principal coefficients give); graph.companions holds them
-    per vertex and graph.unglued the edges (u, k) reaching a known vertex
-    with other companions than those stored there.
+    per vertex.  A vertex is looked up by initial's canonical key together
+    with the slot-aligned companions, so the graph is the joint quotient: two
+    paths meet only where every seed glues them, and a companion that
+    arrives otherwise starts a new vertex.  Where every side glues as
+    initial does, as coefficient independence has it for seeds of one
+    principal matrix, this is initial's own graph.
 
     Expansion stops after depth_limit layers; vertices discovered in the
     last layer that never expanded are flagged as frontier.  Vertex or term
@@ -218,13 +220,12 @@ def enumerate_graph(
     rep0 = initial.permuted(perm)
     seeds = [rep0]
     keys = [rep0._canonical_key()]
-    index = {keys[0]: 0}
+    sides = [tuple(s.permuted(perm) for s in companions)]
+    index = {(keys[0], sides[0]): 0}
     depths = [0]
     neighbors: list[dict[int, int]] = [{}]
     # back[v][j] = u: direction j of v undoes a mutation computed from u
     back: list[dict[int, int]] = [{}]
-    sides = [tuple(s.permuted(perm) for s in companions)]
-    unglued: list[tuple[int, int]] = []
     exchanges: dict = {x: x for x in rep0.cluster}
     memos = [{x: x for x in s.cluster} for s in companions]
     mutations = reused = hits = 0
@@ -234,7 +235,7 @@ def enumerate_graph(
         # a vertex is frontier exactly when it never resolved all n directions
         frontier = [len(nbrs) < n for nbrs in neighbors]
         complete = complete and not any(frontier)
-        return ExchangeGraph(seeds, keys, depths, frontier, neighbors, complete, {}, sides, unglued)
+        return ExchangeGraph(seeds, keys, depths, frontier, neighbors, complete, {}, sides)
 
     layer = [0]
     depth = 0
@@ -256,12 +257,8 @@ def enumerate_graph(
                 perm = child.canonical_permutation()
                 child = child.permuted(perm)
                 ck = child._canonical_key()
-                idx = index.get(ck)
-                arrived = ()
-                if companions:
-                    arrived = tuple(s.mutate(k, exchanges=m).permuted(perm) for s, m in zip(sides[u], memos))
-                    if idx is not None and arrived != sides[idx]:
-                        unglued.append((u, k))
+                arrived = tuple(s.mutate(k, exchanges=m).permuted(perm) for s, m in zip(sides[u], memos))
+                idx = index.get((ck, arrived))
                 if idx is None:
                     if len(seeds) + 1 > max_vertices:
                         raise BudgetExceeded(
@@ -275,7 +272,7 @@ def enumerate_graph(
                     idx = len(seeds)
                     seeds.append(child)
                     keys.append(ck)
-                    index[ck] = idx
+                    index[ck, arrived] = idx
                     depths.append(depth + 1)
                     neighbors.append({})
                     back.append({})
@@ -316,10 +313,10 @@ class LockstepResult:
     b_covers_a: bool
 
 
-def route(graph: ExchangeGraph, initial: Seed, v: int, *last: int) -> tuple[int, ...]:
-    """A shortest path to vertex v, then v's directions last, translated from
-    canonical slots to initial's own directions for initial.mutate_path."""
-    steps = list(last)
+def route(graph: ExchangeGraph, initial: Seed, v: int) -> tuple[int, ...]:
+    """A shortest path to vertex v, translated from canonical slots to
+    initial's own directions for initial.mutate_path."""
+    steps: list[int] = []
     while v:
         v, k = min((u, k) for u, nbrs in enumerate(graph.neighbors) for k, w in nbrs.items()
                    if w == v and graph.depths[u] < graph.depths[v])
@@ -336,21 +333,21 @@ def one_sided_gluings(graph: ExchangeGraph, initial: Seed, i: int, root: Seed):
     own directions, that exactly one of initial (graph's root) and root (its
     companion i) glues.
 
-    The candidates are the edges in graph.unglued, each against the vertex
-    it reaches, then each vertex whose companion i has the key of an earlier
-    one, against that one.  Pairs are replayed from both roots lazily, so a
-    graph whose companions glue as its seeds do computes no route."""
-    first: dict[tuple, int] = {}
-    twins = ((v, first.setdefault(s[i].key(), v)) for v, s in enumerate(graph.companions))
-    pairs = itertools.chain(
-        (((u, k), (graph.neighbors[u][k],)) for u, k in graph.unglued),
-        (((v,), (w,)) for v, w in twins if v != w),
-    )
-    for a, b in pairs:
-        p, q = route(graph, initial, *a), route(graph, initial, *b)
-        glued = [s.mutate_path(p).key() == s.mutate_path(q).key() for s in (initial, root)]
-        if glued[0] != glued[1]:
-            yield p, q, glued[0]
+    graph is the joint quotient, so a pair that one side glues and the other
+    does not ends in two vertices.  The candidates are each later vertex
+    with the principal key (graph.keys) or the companion-i key of an
+    earlier one, against the first such vertex; gluing is an equivalence,
+    so these pairs find every side that glues otherwise.  Pairs are replayed
+    from both roots lazily, so a graph whose companions glue as its seeds
+    do computes no route."""
+    by_main: dict[tuple, int] = {}
+    by_side: dict[tuple, int] = {}
+    for v, (ck, sides) in enumerate(zip(graph.keys, graph.companions)):
+        for w in sorted({by_main.setdefault(ck, v), by_side.setdefault(sides[i].key(), v)} - {v}):
+            p, q = route(graph, initial, v), route(graph, initial, w)
+            glued = [s.mutate_path(p).key() == s.mutate_path(q).key() for s in (initial, root)]
+            if glued[0] != glued[1]:
+                yield p, q, glued[0]
 
 
 def compare_by_paths(a: Seed, b: Seed, depth: int) -> LockstepResult:
@@ -360,9 +357,8 @@ def compare_by_paths(a: Seed, b: Seed, depth: int) -> LockstepResult:
     is enumerated with b as its companion, under the default budgets; the
     result reports whether one_sided_gluings finds no pair of paths, the
     first pair, and whether each side glues every pair the other does.
-    While the enumeration meets no unglued edge, as coefficient independence
-    has it, this is what a walk of the whole tree finds; past an unglued
-    edge, b's gluings are seen only on the replayed pairs.  nodes counts the reduced paths,
+    Every reduced path reaches a vertex of that joint quotient, so this is
+    what a walk of the whole tree finds.  nodes counts the reduced paths,
     1 + sum_{d=1..depth} n (n-1)^(d-1).
     """
     if a.n != b.n:

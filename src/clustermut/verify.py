@@ -10,7 +10,6 @@ exactly that reason.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 import time
@@ -105,6 +104,13 @@ def merge_reports(reports: list[VerificationReport]) -> list[VerificationReport]
     return merged
 
 
+def _whole_graph(check: str, instance: str, graph: ExchangeGraph, stats: dict) -> VerificationReport:
+    """Confirmed on a complete graph, inconclusive at a frontier."""
+    if graph.complete:
+        return VerificationReport(check, instance, CONFIRMED, None, stats)
+    return VerificationReport(check, instance, INCONCLUSIVE, "frontier hit; enumeration incomplete", stats)
+
+
 # -- the cluster determines the seed -------------------------------------------
 
 
@@ -127,9 +133,7 @@ def check_cluster_determines_seed(graph: ExchangeGraph) -> VerificationReport:
             return VerificationReport(
                 "cluster-seed", instance, REFUTED, witness, {"vertices": graph.vertex_count}
             )
-    verdict = CONFIRMED if graph.complete else INCONCLUSIVE
-    witness = None if graph.complete else "frontier hit; enumeration incomplete"
-    return VerificationReport("cluster-seed", instance, verdict, witness, {"vertices": graph.vertex_count})
+    return _whole_graph("cluster-seed", instance, graph, {"vertices": graph.vertex_count})
 
 
 # -- adjacency iff n-1 common variables ----------------------------------------
@@ -148,11 +152,7 @@ def check_adjacency(graph: ExchangeGraph) -> VerificationReport:
     pairs stat; a confirmation counts all V(V-1)/2 pairs."""
     instance = f"graph with {graph.vertex_count} vertices"
     if not graph.complete:
-        return VerificationReport(
-            "adjacency", instance, INCONCLUSIVE,
-            "frontier hit; enumeration incomplete",
-            {"vertices": graph.vertex_count},
-        )
+        return _whole_graph("adjacency", instance, graph, {"vertices": graph.vertex_count})
     n, count = graph.seeds[0].n, graph.vertex_count
     sets = [frozenset(s.cluster) for s in graph.seeds]
     buckets: dict[frozenset, list[int]] = {}
@@ -181,10 +181,7 @@ def check_adjacency(graph: ExchangeGraph) -> VerificationReport:
         return VerificationReport(
             "adjacency", instance, REFUTED, witness, {"vertices": count, "pairs": pairs}
         )
-    return VerificationReport(
-        "adjacency", instance, CONFIRMED, None,
-        {"vertices": count, "pairs": count * (count - 1) // 2},
-    )
+    return _whole_graph("adjacency", instance, graph, {"vertices": count, "pairs": count * (count - 1) // 2})
 
 
 # -- coefficient independence of the exchange graph ----------------------------
@@ -293,24 +290,17 @@ def check_joint_graph(
         if "coincide" in checks:
             reports.append(_coincide_verdict(f"{instance} det={det}", det, graph, initial, sides))
         if "g-spec" in checks:
-            # a companion that arrives otherwise on an unglued edge was never stored
             pairs = enumerate(zip(graph.seeds, graph.companions))
-            bad = itertools.chain(((v,) for v, (pr, cf) in pairs if _g_spec_witness(pr, cf[0])), graph.unglued)
+            bad = (v for v, (pr, cf) in pairs if _g_spec_witness(pr, cf[0]))
             reports.append(_vertex_verdict("g-spec", check_g_specialization, b, instance, graph, initial, bad))
         if weights:
-            bad = ((v,) for v, seed in enumerate(graph.seeds) if _toric_witness(weights, seed))
+            bad = (v for v, seed in enumerate(graph.seeds) if _toric_witness(weights, seed))
             reports.append(_vertex_verdict("toric", check_toric_invariance, b, instance, graph, initial, bad))
     if "toric" in checks and not det:
         reports.append(VerificationReport(
             "toric", f"B={b.to_json()}", INCONCLUSIVE, "det B = 0: nondegeneracy hypothesis unmet"
         ))
     return reports
-
-
-def _whole_graph(check: str, instance: str, graph: ExchangeGraph, stats: dict) -> VerificationReport:
-    if graph.complete:
-        return VerificationReport(check, instance, CONFIRMED, None, stats)
-    return VerificationReport(check, instance, INCONCLUSIVE, "frontier hit; enumeration incomplete", stats)
 
 
 @_timed
@@ -326,11 +316,11 @@ def _coincide_verdict(instance: str, det: int, graph: ExchangeGraph, initial: Se
 
 @_timed
 def _vertex_verdict(check: str, per_path, b, instance: str, graph: ExchangeGraph, initial: Seed, bad):
-    """per_path's report on the first of the bad routes that it refutes, else
-    the whole graph's verdict.  A route is a vertex (v,) where the
-    slot-aligned seeds fail the check, or an edge (u, k), as graph.route takes them."""
-    for target in bad:
-        report = per_path(b, route(graph, initial, *target))
+    """per_path's report on the path to the first of the bad vertices, those
+    whose slot-aligned seeds fail the check, that it refutes, else the whole
+    graph's verdict."""
+    for v in bad:
+        report = per_path(b, route(graph, initial, v))
         if report.verdict == REFUTED:
             return report
     return _whole_graph(check, instance, graph, {"vertices": graph.vertex_count})

@@ -11,15 +11,19 @@ coefficient-free one for cluster-seed, adjacency and laurent, and the
 principal one, with the coefficient-free and a random tropical seed riding
 along, for coincide, g-spec and toric.  The chain 1 -> 2 -> ... -> 5 with
 the branch 3 -> 6 has det B = 1, so toric invariance applies, and all six
-checks must be confirmed on the whole graph.  `compare_by_paths` must
-also find that the principal and coefficient-free seeds glue the same
-paths on the whole graph, each covering the other, while counting the
-366,210,937 reduced paths of length at most 12 that a walk of the tree
-would visit.  Exits nonzero, naming the first failed assertion, otherwise.
+checks must be confirmed on the whole graph.  The JSON reports of coincide,
+g-spec and toric must count 833 vertices: the joint quotient, in which two
+paths meet only where every seed glues them, is the principal graph.
+`compare_by_paths` must also find that the principal and coefficient-free
+seeds glue the same paths on the whole graph, each covering the other,
+while counting the 366,210,937 reduced paths of length at most 12 that a
+walk of the tree would visit.  Exits nonzero, naming the first failed
+assertion, otherwise.
 """
 
 import contextlib
 import io
+import json
 import sys
 import time
 
@@ -40,10 +44,11 @@ def main() -> int:
     out = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["verify", e6_text(), "--check", "all", "--depth", "12"])
+        code = cli.main(["verify", e6_text(), "--check", "all", "--depth", "12", "--format", "json"])
     seconds = time.perf_counter() - t0
-    lines = out.getvalue().splitlines()
-    print("\n".join(lines))
+    reports = {r["check"]: r for r in json.loads(out.getvalue())}
+    for name, r in reports.items():
+        print(f"{name}: {r['verdict']} {r['stats']}")
     print(f"exit {code}; {seconds:.1f} s")
     e6 = cli.load_matrix(e6_text())
     t0 = time.perf_counter()
@@ -51,8 +56,10 @@ def main() -> int:
     print(f"compare_by_paths: {paths}; {time.perf_counter() - t0:.1f} s")
     failures = [
         label
-        for label, ok in [("exit 0", code == 0), ("six lines", len(lines) == len(CHECKS))]
-        + [(f"{name}: confirmed", f"{name}: confirmed" in lines) for name in CHECKS]
+        for label, ok in [("exit 0", code == 0), ("six reports", sorted(reports) == list(CHECKS))]
+        + [(f"{name}: confirmed", reports.get(name, {}).get("verdict") == "confirmed") for name in CHECKS]
+        + [(f"{name}: 833 vertices", reports.get(name, {}).get("stats", {}).get("vertices") == 833)
+           for name in ("coincide", "g-spec", "toric")]
         + [("paths coincide", paths.coincide and paths.a_covers_b and paths.b_covers_a),
            ("366210937 paths", paths.nodes == 366210937)]
         if not ok

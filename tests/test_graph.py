@@ -18,6 +18,7 @@ from clustermut import (
     compare_by_paths,
     enumerate_graph,
     principal_seed,
+    random_nondegenerate,
     random_skew_symmetrizable,
     reduced_paths,
 )
@@ -186,6 +187,20 @@ def test_principal_enumeration_matches_counts(a2, b2, g2, a3):
     for matrix, count in ((a2, 5), (b2, 6), (g2, 8), (a3, 14)):
         g = enumerate_graph(principal_seed(matrix), 12)
         assert (g.vertex_count, g.complete) == (count, True)
+
+
+def test_honest_companions_leave_the_graph_unchanged(g2, rng):
+    # the coefficient-free and a random tropical seed glue every pair of
+    # paths as the principal seed does, so the joint quotient is the
+    # principal graph: whole on finite types, cut at a frontier on random
+    # rank 4 at depth 3
+    cases = [(ExchangeMatrix.from_rows(FINITE_TYPES[name][0]), 12) for name in ("A3", "B3", "D4", "A4")]
+    cases += [(g2, 12)] + [(random_nondegenerate(rng, 4, max_entry=1), 3) for _ in range(2)]
+    for b, depth in cases:
+        sides = (coefficient_free_seed(b), random_tropical_seed(b, b.n, 0))
+        joint = enumerate_graph(principal_seed(b), depth, companions=sides)
+        assert joint == enumerate_graph(principal_seed(b), depth)
+        assert joint.complete == (depth == 12)
 
 
 # -- export ---------------------------------------------------------------------

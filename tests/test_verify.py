@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import random
 import re
 from types import SimpleNamespace
 
@@ -35,7 +36,7 @@ from clustermut import (
 )
 from clustermut import cli, seeds, verify
 from clustermut.errors import BudgetExceeded
-from clustermut.graph import LockstepResult
+from clustermut.graph import LockstepResult, one_sided_gluings
 from clustermut.seeds import int_det
 from clustermut.verify import VerificationReport
 
@@ -270,6 +271,28 @@ def test_compare_by_paths_matches_the_tree_oracle(rng):
             got, want = compare_by_paths(x, y, depth), oracle_compare_by_paths(x, y, depth)
             assert dataclasses.replace(got, divergence=None) == dataclasses.replace(want, divergence=None)
             assert (got.divergence is None) == got.coincide
+
+
+def test_covers_are_exact_for_seeds_of_different_matrices():
+    # one_sided_gluings on the joint graph of seeds of two seeded random
+    # matrices, which compare_by_paths refuses: principal, coefficient-free
+    # and rank-1 tropical seeds of one against coefficient-free, rank-n
+    # tropical and principal seeds of the other.  In draws 2, 4 and 9 the
+    # two seeds glue paths differently, and the covers read off the joint
+    # quotient must still be those of the tree walk
+    rng = random.Random(7)
+    for draw in range(10):
+        n, depth = (2, 4) if draw % 2 == 0 else (3, 3)
+        b, other = random_skew_symmetrizable(rng, n, max_entry=1), random_skew_symmetrizable(rng, n, max_entry=1)
+        firsts = (principal_seed(b), coefficient_free_seed(b), verify.random_tropical_seed(b, 1, draw))
+        seconds = (
+            coefficient_free_seed(other), verify.random_tropical_seed(other, n, draw), principal_seed(other),
+        )
+        for x, y in itertools.product(firsts, seconds):
+            graph = enumerate_graph(x, depth, companions=(y,))
+            by_x = [glued for _, _, glued in one_sided_gluings(graph, x, 0, y)]
+            want = oracle_compare_by_paths(x, y, depth)
+            assert (not by_x, not any(by_x), all(by_x)) == (want.coincide, want.a_covers_b, want.b_covers_a)
 
 
 ALT_A3 = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, -1], [0, 1, 0]])
@@ -516,9 +539,10 @@ def test_g_specialization_refutes_other_coefficient_free_matrix(a2, monkeypatch,
     assert capsys.readouterr().out == f"g-spec: refuted [{witness}]\n"
 
 
-def test_g_specialization_checks_unglued_edges(a2, monkeypatch, capsys):
-    # the coefficient-free seed stored at vertex 3 is right, but the one that
-    # arrives on the non-tree edge (3, 1) has its new variable negated
+def test_g_specialization_stops_at_a_side_that_breaks_the_involution(a2, monkeypatch, capsys):
+    # the coefficient-free seed of vertex 3, mutated at its slot 1, gets its
+    # new variable negated; mutating back does not undo that, so the joint
+    # enumeration finds two vertices claiming one direction of vertex 3
     graph = enumerate_graph(principal_seed(a2), 6, companions=(coefficient_free_seed(a2),))
     (stored,) = graph.companions[3]
     real = Seed.mutate
@@ -534,17 +558,16 @@ def test_g_specialization_checks_unglued_edges(a2, monkeypatch, capsys):
         return child
 
     monkeypatch.setattr(Seed, "mutate", corrupted)
-    graph = enumerate_graph(principal_seed(a2), 6, companions=(coefficient_free_seed(a2),))
-    assert graph.unglued == [(3, 1)]
-    assert graph.companions[3] == (stored,)
+    message = "broken exchange rule: vertices 5 and 4 both reach vertex 3 through its direction 1"
+    with pytest.raises(ClusterMutError, match=message):
+        enumerate_graph(principal_seed(a2), 6, companions=(coefficient_free_seed(a2),))
+    with pytest.raises(ClusterMutError, match=message):
+        verify.check_joint_graph(a2, 6, ("g-spec",))
     per_path = check_g_specialization(a2, (2, 1, 2))
     assert per_path.verdict == "refuted"
     assert per_path.witness == "variable 2: x1^-1*x2 + x1^-1 != -x1^-1*x2 - x1^-1"
-    (report,) = verify.check_joint_graph(a2, 6, ("g-spec",))
-    assert report_fields([report]) == report_fields([per_path])
-    assert check_graph_coincidence(a2, 6).verdict == "refuted"
     assert cli.main(["verify", "0 1;-1 0", "--check", "g-spec"]) == cli.EXIT_REFUTED
-    assert capsys.readouterr().out == f"g-spec: refuted [{per_path.witness}]\n"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # -- one joint enumeration for coincide, g-spec and toric ----------------------------
@@ -557,13 +580,30 @@ def report_fields(reports):
 PER_PATH = {"g-spec": check_g_specialization, "toric": check_toric_invariance}
 
 
+def joint_classes(b, depth, sides):
+    """The number of classes of reduced paths up to depth, two paths in one
+    class when the principal seed glues them and every side, aligned slot by
+    slot with it, arrives as the same seed: the vertices of the joint
+    quotient, at least as many as the principal graph has."""
+    classes = set()
+    for _, (pr, *rest) in oracle_tree(b.n, depth, (principal_seed(b), *sides)):
+        perm = pr.canonical_permutation()
+        classes.add((pr.key(), tuple(s.permuted(perm) for s in rest)))
+    return len(classes)
+
+
 def assert_joint_matches_per_path(b, depth, checks, rng_seed=0):
     """check_joint_graph against the per-path checks over every reduced
     path up to depth, and coincide against oracle_coincidence: each
     refutes exactly when its oracle does.  A refuted g-spec or toric report
     is the per-path report of a path up to depth, and a coincide witness
-    replays.  Returns the verdict of each check."""
+    replays.  A vertex count is that of the joint quotient, which is the
+    principal graph's unless a corrupted side glues otherwise.  Returns the
+    verdict of each check."""
     joint = {r.check: r for r in verify.check_joint_graph(b, depth, checks, rng_seed)}
+    sides = [verify.coefficient_free_seed(b)] if {"coincide", "g-spec"} & set(checks) else []
+    if "coincide" in checks:
+        sides.append(verify.random_tropical_seed(b, b.n, rng_seed))
     assert sorted(joint) == sorted(checks)
     for check, report in joint.items():
         if check == "coincide":
@@ -582,7 +622,7 @@ def assert_joint_matches_per_path(b, depth, checks, rng_seed=0):
             assert len(path) <= depth
             assert report_fields([report]) == report_fields([PER_PATH[check](b, path)])
         else:
-            assert report.stats["vertices"] == len(graph_of(b, depth).seeds)
+            assert report.stats["vertices"] == joint_classes(b, depth, sides) >= len(graph_of(b, depth).seeds)
     return {check: r.verdict for check, r in joint.items()}
 
 
