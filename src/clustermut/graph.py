@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, ClusterMutError, ContextMismatch, ParseError
-from .laurent import parse_poly
+from .laurent import LaurentPolynomial, parse_poly
 from .seeds import GEOMETRIC, ExchangeMatrix, Seed, TrivialSemifield, TropicalSemifield
 from .semifield import parse_tropical
 
@@ -33,7 +33,9 @@ class ExchangeGraph:
 
     neighbors[u][k] = index reached from the canonical representative of u
     by mutating in direction k; only expanded (non-frontier) vertices carry
-    all n directions.
+    all n directions.  paths[v] is the path that first reached v, in the
+    initial seed's own directions, so initial.mutate_path(paths[v]) replays
+    it; a graph parsed from JSON has none.
     """
 
     seeds: list[Seed]
@@ -44,6 +46,7 @@ class ExchangeGraph:
     complete: bool
     stats: dict = field(default_factory=dict)
     companions: list[tuple[Seed, ...]] = field(default_factory=list)
+    paths: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
     def vertex_count(self) -> int:
@@ -131,9 +134,14 @@ class ExchangeGraph:
             rank = int(obj["rank"])
             seeds = []
             depths, frontier, neighbors = [], [], []
+            # each distinct text is parsed once, so equal variables are one object
+            polys: dict[str, LaurentPolynomial] = {}
             for vtx in obj["vertices"]:
                 matrix = ExchangeMatrix.from_rows(vtx["matrix"]["rows"], vtx["matrix"]["m"])
-                cluster = tuple(parse_poly(vars, s) for s in vtx["cluster"])
+                for s in vtx["cluster"]:
+                    if s not in polys:
+                        polys[s] = parse_poly(vars, s)
+                cluster = tuple(polys[s] for s in vtx["cluster"])
                 if mode == GEOMETRIC:
                     seed = Seed(matrix, cluster, GEOMETRIC, None, None, vars)
                 elif kind == "trivial":
@@ -205,6 +213,10 @@ def enumerate_graph(
     initial does, as coefficient independence has it for seeds of one
     principal matrix, this is initial's own graph.
 
+    graph.paths[v] is paths[u] plus the step k of the least (u, k) of the
+    previous layer reaching v, read in initial's own directions through
+    orders[u], the own slot held in each canonical slot of u.
+
     Expansion stops after depth_limit layers; vertices discovered in the
     last layer that never expanded are flagged as frontier.  Vertex or term
     budget overruns raise BudgetExceeded carrying the partial graph; the
@@ -220,6 +232,8 @@ def enumerate_graph(
     rep0 = initial.permuted(perm)
     seeds = [rep0]
     keys = [rep0._canonical_key()]
+    orders = [perm]
+    paths: list[tuple[int, ...]] = [()]
     sides = [tuple(s.permuted(perm) for s in companions)]
     index = {(keys[0], sides[0]): 0}
     depths = [0]
@@ -235,7 +249,7 @@ def enumerate_graph(
         # a vertex is frontier exactly when it never resolved all n directions
         frontier = [len(nbrs) < n for nbrs in neighbors]
         complete = complete and not any(frontier)
-        return ExchangeGraph(seeds, keys, depths, frontier, neighbors, complete, {}, sides)
+        return ExchangeGraph(seeds, keys, depths, frontier, neighbors, complete, {}, sides, paths)
 
     layer = [0]
     depth = 0
@@ -277,6 +291,8 @@ def enumerate_graph(
                     neighbors.append({})
                     back.append({})
                     sides.append(arrived)
+                    orders.append(tuple(orders[u][p] for p in perm))
+                    paths.append(paths[u] + (orders[u][k - 1] + 1,))
                     new_layer.append(idx)
                 # mutating idx at the slot of the new variable returns to u
                 j = child.cluster.index(new_var) + 1
@@ -313,41 +329,27 @@ class LockstepResult:
     b_covers_a: bool
 
 
-def route(graph: ExchangeGraph, initial: Seed, v: int) -> tuple[int, ...]:
-    """A shortest path to vertex v, translated from canonical slots to
-    initial's own directions for initial.mutate_path."""
-    steps: list[int] = []
-    while v:
-        v, k = min((u, k) for u, nbrs in enumerate(graph.neighbors) for k, w in nbrs.items()
-                   if w == v and graph.depths[u] < graph.depths[v])
-        steps.insert(0, k)
-    path, seed = [], initial
-    for k in steps:
-        path.append(seed.canonical_permutation()[k - 1] + 1)
-        seed = seed.mutate(path[-1])
-    return tuple(path)
-
-
-def one_sided_gluings(graph: ExchangeGraph, initial: Seed, i: int, root: Seed):
-    """Yield (p, q, glued_by_initial) for the pairs of paths, in initial's
-    own directions, that exactly one of initial (graph's root) and root (its
-    companion i) glues.
+def one_sided_gluings(graph: ExchangeGraph, i: int):
+    """Yield (p, q, glued_by_initial) for the pairs of paths, in the initial
+    seed's own directions (graph.paths), that exactly one of graph's root
+    and its companion i glues.
 
     graph is the joint quotient, so a pair that one side glues and the other
     does not ends in two vertices.  The candidates are each later vertex
     with the principal key (graph.keys) or the companion-i key of an
     earlier one, against the first such vertex; gluing is an equivalence,
-    so these pairs find every side that glues otherwise.  Pairs are replayed
-    from both roots lazily, so a graph whose companions glue as its seeds
-    do computes no route."""
+    so these pairs find every side that glues otherwise.  A side glues a
+    pair iff its keys at the two vertices are equal; the companion-i keys
+    are computed lazily, once per vertex, and nothing is mutated."""
     by_main: dict[tuple, int] = {}
     by_side: dict[tuple, int] = {}
+    side_keys: list[tuple] = []
     for v, (ck, sides) in enumerate(zip(graph.keys, graph.companions)):
-        for w in sorted({by_main.setdefault(ck, v), by_side.setdefault(sides[i].key(), v)} - {v}):
-            p, q = route(graph, initial, v), route(graph, initial, w)
-            glued = [s.mutate_path(p).key() == s.mutate_path(q).key() for s in (initial, root)]
-            if glued[0] != glued[1]:
-                yield p, q, glued[0]
+        side_keys.append(sides[i].key())
+        for w in sorted({by_main.setdefault(ck, v), by_side.setdefault(side_keys[v], v)} - {v}):
+            glued = ck == graph.keys[w]
+            if glued != (side_keys[v] == side_keys[w]):
+                yield graph.paths[v], graph.paths[w], glued
 
 
 def compare_by_paths(a: Seed, b: Seed, depth: int) -> LockstepResult:
@@ -367,7 +369,7 @@ def compare_by_paths(a: Seed, b: Seed, depth: int) -> LockstepResult:
         raise ContextMismatch("seeds have different principal exchange matrices")
     if depth < 0:
         raise ContextMismatch("depth must be nonnegative")
-    gluings = list(one_sided_gluings(enumerate_graph(a, depth, companions=(b,)), a, 0, b))
+    gluings = list(one_sided_gluings(enumerate_graph(a, depth, companions=(b,)), 0))
     by_a = [glued for _, _, glued in gluings]
     nodes = 1 + sum(a.n * (a.n - 1) ** (d - 1) for d in range(1, depth + 1))
     return LockstepResult(not gluings, gluings[0][:2] if gluings else None, nodes, not any(by_a), all(by_a))

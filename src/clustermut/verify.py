@@ -16,8 +16,8 @@ import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from .errors import BudgetExceeded, NotDivisible
-from .graph import DEFAULT_MAX_TERMS, DEFAULT_MAX_VERTICES, ExchangeGraph, enumerate_graph, one_sided_gluings, route
+from .errors import BudgetExceeded, ClusterMutError, NotDivisible
+from .graph import DEFAULT_MAX_TERMS, DEFAULT_MAX_VERTICES, ExchangeGraph, enumerate_graph, one_sided_gluings
 from .laurent import LaurentFraction, LaurentPolynomial
 from .seeds import (
     ExchangeMatrix, Seed, coefficient_free_seed, compute_toric_weights, int_det, mutate_coefficients,
@@ -285,17 +285,16 @@ def check_joint_graph(
     weights = compute_toric_weights(b) if "toric" in checks and det else None
     reports = []
     if sides or weights:
-        initial = principal_seed(b)
-        graph = enumerate_graph(initial, depth, max_vertices, max_terms, tuple(sides.values()))
+        graph = enumerate_graph(principal_seed(b), depth, max_vertices, max_terms, tuple(sides.values()))
         if "coincide" in checks:
-            reports.append(_coincide_verdict(f"{instance} det={det}", det, graph, initial, sides))
+            reports.append(_coincide_verdict(f"{instance} det={det}", det, graph, sides))
         if "g-spec" in checks:
             pairs = enumerate(zip(graph.seeds, graph.companions))
             bad = (v for v, (pr, cf) in pairs if _g_spec_witness(pr, cf[0]))
-            reports.append(_vertex_verdict("g-spec", check_g_specialization, b, instance, graph, initial, bad))
+            reports.append(_vertex_verdict("g-spec", check_g_specialization, b, instance, graph, bad))
         if weights:
             bad = (v for v, seed in enumerate(graph.seeds) if _toric_witness(weights, seed))
-            reports.append(_vertex_verdict("toric", check_toric_invariance, b, instance, graph, initial, bad))
+            reports.append(_vertex_verdict("toric", check_toric_invariance, b, instance, graph, bad))
     if "toric" in checks and not det:
         reports.append(VerificationReport(
             "toric", f"B={b.to_json()}", INCONCLUSIVE, "det B = 0: nondegeneracy hypothesis unmet"
@@ -304,26 +303,30 @@ def check_joint_graph(
 
 
 @_timed
-def _coincide_verdict(instance: str, det: int, graph: ExchangeGraph, initial: Seed, sides):
+def _coincide_verdict(instance: str, det: int, graph: ExchangeGraph, sides):
     """The first pair of paths that one_sided_gluings finds for a side refutes."""
     stats = {"nondegenerate": det != 0, "vertices": graph.vertex_count}
-    for i, (name, root) in enumerate(sides.items()):
-        for p, q, _ in one_sided_gluings(graph, initial, i, root):
+    for i, name in enumerate(sides):
+        for p, q, _ in one_sided_gluings(graph, i):
             witness = f"principal vs {name}: paths {list(p)} and {list(q)} glued on one side only"
             return VerificationReport("coincide", instance, REFUTED, witness, stats)
     return _whole_graph("coincide", instance, graph, stats)
 
 
 @_timed
-def _vertex_verdict(check: str, per_path, b, instance: str, graph: ExchangeGraph, initial: Seed, bad):
+def _vertex_verdict(check: str, per_path, b, instance: str, graph: ExchangeGraph, bad):
     """per_path's report on the path to the first of the bad vertices, those
-    whose slot-aligned seeds fail the check, that it refutes, else the whole
-    graph's verdict."""
-    for v in bad:
-        report = per_path(b, route(graph, initial, v))
-        if report.verdict == REFUTED:
-            return report
-    return _whole_graph(check, instance, graph, {"vertices": graph.vertex_count})
+    whose slot-aligned seeds fail the check, else the whole graph's verdict.
+    A bad vertex whose path per_path does not refute means the graph and the
+    replay disagree, and raises ClusterMutError."""
+    v = next(bad, None)
+    if v is None:
+        return _whole_graph(check, instance, graph, {"vertices": graph.vertex_count})
+    report = per_path(b, graph.paths[v])
+    if report.verdict != REFUTED:
+        path = list(graph.paths[v])
+        raise ClusterMutError(f"{check}: vertex {v} fails the check, but path {path} replays {report.verdict}")
+    return report
 
 
 # -- Laurent phenomenon ------------------------------------------------------------

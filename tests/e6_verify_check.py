@@ -17,8 +17,14 @@ paths meet only where every seed glues them, is the principal graph.
 `compare_by_paths` must also find that the principal and coefficient-free
 seeds glue the same paths on the whole graph, each covering the other,
 while counting the 366,210,937 reduced paths of length at most 12 that a
-walk of the tree would visit.  Exits nonzero, naming the first failed
-assertion, otherwise.
+walk of the tree would visit.
+
+A refutation at scale: the principal seed enumerated to depth 6 with the
+coefficient-free seed of another orientation (the arrow 1 -> 2 reversed)
+as its companion gives 961 vertices and 933 pairs of paths that exactly
+one side glues, read off the stored keys and paths without mutating.  The
+first and the last pair are replayed from both roots independently.
+Exits nonzero, naming the first failed assertion, otherwise.
 """
 
 import contextlib
@@ -27,7 +33,8 @@ import json
 import sys
 import time
 
-from clustermut import cli, coefficient_free_seed, compare_by_paths, principal_seed
+from clustermut import cli, coefficient_free_seed, compare_by_paths, enumerate_graph, principal_seed
+from clustermut.graph import one_sided_gluings
 
 CHECKS = ("adjacency", "cluster-seed", "coincide", "g-spec", "laurent", "toric")
 
@@ -54,6 +61,15 @@ def main() -> int:
     t0 = time.perf_counter()
     paths = compare_by_paths(principal_seed(e6), coefficient_free_seed(e6), 12)
     print(f"compare_by_paths: {paths}; {time.perf_counter() - t0:.1f} s")
+    roots = (principal_seed(e6), coefficient_free_seed(e6.mutate(1)))
+    t0 = time.perf_counter()
+    gluings = list(one_sided_gluings(enumerate_graph(roots[0], 6, companions=roots[1:]), 0))
+    print(f"one-sided pairs against another orientation: {len(gluings)}; {time.perf_counter() - t0:.2f} s")
+    # glued by the principal seed only or by the other side only, replayed from both roots
+    replayed = [
+        [s.mutate_path(p).key() == s.mutate_path(q).key() for s in roots] == [glued, not glued]
+        for p, q, glued in gluings[:1] + gluings[-1:]
+    ]
     failures = [
         label
         for label, ok in [("exit 0", code == 0), ("six reports", sorted(reports) == list(CHECKS))]
@@ -61,7 +77,9 @@ def main() -> int:
         + [(f"{name}: 833 vertices", reports.get(name, {}).get("stats", {}).get("vertices") == 833)
            for name in ("coincide", "g-spec", "toric")]
         + [("paths coincide", paths.coincide and paths.a_covers_b and paths.b_covers_a),
-           ("366210937 paths", paths.nodes == 366210937)]
+           ("366210937 paths", paths.nodes == 366210937),
+           ("933 one-sided pairs", len(gluings) == 933),
+           ("first and last pairs replay", replayed == [True, True])]
         if not ok
     ]
     for label in failures:

@@ -22,6 +22,7 @@ from clustermut import (
     random_skew_symmetrizable,
     reduced_paths,
 )
+from clustermut import graph as graph_module
 from clustermut.verify import random_tropical_seed, random_tropical_tuple
 
 
@@ -203,6 +204,44 @@ def test_honest_companions_leave_the_graph_unchanged(g2, rng):
         assert joint.complete == (depth == 12)
 
 
+def rescanned_route(graph, initial, v):
+    """The path to v that a rescan of every neighbour entry finds: the
+    least (u, k) one layer up, back to the root, then translated step by
+    step from canonical slots to initial's own directions by mutating
+    initial along the way."""
+    steps = []
+    while v:
+        v, k = min((u, k) for u, nbrs in enumerate(graph.neighbors) for k, w in nbrs.items()
+                   if w == v and graph.depths[u] < graph.depths[v])
+        steps.insert(0, k)
+    path, seed = [], initial
+    for k in steps:
+        path.append(seed.canonical_permutation()[k - 1] + 1)
+        seed = seed.mutate(path[-1])
+    return tuple(path)
+
+
+def test_stored_paths_replay_to_their_vertices(g2, rng):
+    # coefficient-free A3 and D4, principal G2 and random rank 4 with two
+    # sides, and a principal seed against a coefficient-free side of
+    # another matrix, whose joint quotient is larger than either graph
+    a3, c3, d4 = (ExchangeMatrix.from_rows(FINITE_TYPES[name][0]) for name in ("A3", "C3", "D4"))
+    b = random_nondegenerate(rng, 4, max_entry=1)
+    cases = [
+        (coefficient_free_seed(a3), (), 12), (coefficient_free_seed(d4), (), 12), (principal_seed(g2), (), 12),
+        (principal_seed(a3), (coefficient_free_seed(c3),), 6),
+        (principal_seed(b), (coefficient_free_seed(b), random_tropical_seed(b, 4, 0)), 3),
+    ]
+    for initial, sides, depth in cases:
+        graph = enumerate_graph(initial, depth, companions=sides)
+        assert len(graph.paths) == graph.vertex_count
+        for v, path in enumerate(graph.paths):
+            assert path == rescanned_route(graph, initial, v)
+            assert len(path) == graph.depths[v]
+            assert initial.mutate_path(path).key() == graph.keys[v]
+            assert [s.mutate_path(path).key() for s in sides] == [s.key() for s in graph.companions[v]]
+
+
 # -- export ---------------------------------------------------------------------
 
 
@@ -211,6 +250,26 @@ def test_json_round_trip(a2):
     again = ExchangeGraph.from_json(g.to_json())
     assert again == g
     assert again.export("json") == g.export("json")
+    assert again.paths == []
+
+
+@pytest.mark.parametrize("name", ["A4", "G2"])
+def test_json_parses_each_variable_text_once(name, monkeypatch):
+    rows = FINITE_TYPES["A4"][0] if name == "A4" else [[0, 1], [-3, 0]]
+    g = enumerate_graph(coefficient_free_seed(ExchangeMatrix.from_rows(rows)), 20)
+    texts = []
+    real = graph_module.parse_poly
+
+    def counted(vars, text):
+        texts.append(text)
+        return real(vars, text)
+
+    monkeypatch.setattr(graph_module, "parse_poly", counted)
+    again = ExchangeGraph.from_json(g.to_json())
+    assert again == g and again.complete
+    assert sorted(texts) == sorted({str(x) for s in g.seeds for x in s.cluster})
+    # equal variables are one object, as in the enumeration
+    assert len({id(x) for s in again.seeds for x in s.cluster}) == len(texts)
 
 
 def test_json_round_trip_geometric(a2):

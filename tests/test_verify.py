@@ -290,9 +290,36 @@ def test_covers_are_exact_for_seeds_of_different_matrices():
         )
         for x, y in itertools.product(firsts, seconds):
             graph = enumerate_graph(x, depth, companions=(y,))
-            by_x = [glued for _, _, glued in one_sided_gluings(graph, x, 0, y)]
+            by_x = [glued for _, _, glued in one_sided_gluings(graph, 0)]
             want = oracle_compare_by_paths(x, y, depth)
             assert (not by_x, not any(by_x), all(by_x)) == (want.coincide, want.a_covers_b, want.b_covers_a)
+
+
+def test_one_sided_gluings_read_the_joint_graph_without_mutating(monkeypatch):
+    # principal D5 (1 -> 2 -> 3 -> 4, 3 -> 5) against a coefficient-free
+    # side with the arrow 1 -> 2 reversed, at depth 6: 485 vertices.  Each
+    # pair is decided by the keys the graph stores and named by its stored
+    # paths, so nothing is mutated, yet the pairs replay from both roots
+    rows = [[0] * 5 for _ in range(5)]
+    for a, b in ((1, 2), (2, 3), (3, 4), (3, 5)):
+        rows[a - 1][b - 1], rows[b - 1][a - 1] = 1, -1
+    d5 = ExchangeMatrix.from_rows(rows)
+    roots = (principal_seed(d5), coefficient_free_seed(d5.mutate(1)))
+    graph = enumerate_graph(roots[0], 6, companions=roots[1:])
+    calls = []
+    real = Seed.mutate
+
+    def counted(self, k, exchanges=None):
+        calls.append(k)
+        return real(self, k, exchanges)
+
+    monkeypatch.setattr(Seed, "mutate", counted)
+    pairs = list(one_sided_gluings(graph, 0))
+    assert (graph.vertex_count, len(pairs), len(calls)) == (485, 625, 0)
+    monkeypatch.undo()
+    p, q, glued = pairs[0]
+    assert (p, q, glued) == ((2, 1, 3), (2, 3, 1), False)
+    assert [s.mutate_path(p).key() == s.mutate_path(q).key() for s in roots] == [False, True]
 
 
 ALT_A3 = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, -1], [0, 1, 0]])
@@ -567,6 +594,38 @@ def test_g_specialization_stops_at_a_side_that_breaks_the_involution(a2, monkeyp
     assert per_path.verdict == "refuted"
     assert per_path.witness == "variable 2: x1^-1*x2 + x1^-1 != -x1^-1*x2 - x1^-1"
     assert cli.main(["verify", "0 1;-1 0", "--check", "g-spec"]) == cli.EXIT_REFUTED
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "check, corrupt, per_path, message",
+    [
+        ("g-spec", "coefficient_free_seed", "check_g_specialization",
+         "g-spec: vertex 1 fails the check, but path [2] replays confirmed"),
+        ("toric", "compute_toric_weights", "check_toric_invariance",
+         "toric: vertex 2 fails the check, but path [1] replays confirmed"),
+    ],
+)
+def test_a_vertex_the_graph_flags_but_its_path_does_not_refute_raises(
+    a2, check, corrupt, per_path, message, monkeypatch, capsys
+):
+    # the side or the weights are corrupted, so the whole-graph scan flags
+    # vertices; the per-path check, patched to confirm, stands in for a
+    # replay that disagrees with the graph, which must not read as confirmed
+    real = getattr(verify, corrupt)
+
+    def corrupted(b):
+        if corrupt == "coefficient_free_seed":
+            return real(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]))
+        # the x3 entry of w^1, as in test_toric_refutes_corrupted_weights
+        first, *rest = real(b)
+        return (first[:b.n] + (first[b.n] + 1,) + first[b.n + 1:], *rest)
+
+    monkeypatch.setattr(verify, corrupt, corrupted)
+    monkeypatch.setattr(verify, per_path, lambda b, path: VerificationReport(check, "stand-in", "confirmed"))
+    with pytest.raises(ClusterMutError, match=re.escape(message)):
+        verify.check_joint_graph(a2, 6, [check])
+    assert cli.main(["verify", "0 1;-1 0", "--check", check]) == cli.EXIT_REFUTED
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
