@@ -76,8 +76,14 @@ class ExchangeGraph:
 
     def cluster_sets(self) -> list[tuple[str, ...]]:
         """Rendered cluster of each canonical representative; entries are
-        already sorted by the term order, so equal sets compare equal."""
-        return [tuple(str(p) for p in s.cluster) for s in self.seeds]
+        already sorted by the term order, so equal sets compare equal.
+        Each distinct variable is rendered once."""
+        texts: dict[LaurentPolynomial, str] = {}
+        for s in self.seeds:
+            for p in s.cluster:
+                if p not in texts:
+                    texts[p] = str(p)
+        return [tuple(texts[p] for p in s.cluster) for s in self.seeds]
 
     def __eq__(self, other):
         if not isinstance(other, ExchangeGraph):
@@ -111,12 +117,12 @@ class ExchangeGraph:
                     "id": i,
                     "depth": self.depths[i],
                     "frontier": self.frontier[i],
-                    "cluster": [str(p) for p in s.cluster],
+                    "cluster": list(cluster),
                     "coeffs": None if s.coeffs is None else [str(y) for y in s.coeffs],
                     "matrix": {"n": s.matrix.n, "m": s.matrix.m, "rows": [list(r) for r in s.matrix.rows]},
                     "neighbors": {str(k): v for k, v in sorted(self.neighbors[i].items())},
                 }
-                for i, s in enumerate(self.seeds)
+                for i, (s, cluster) in enumerate(zip(self.seeds, self.cluster_sets()))
             ],
             "edges": [
                 {"u": u, "v": v, "labels": list(ks)} for u, v, ks in self.edges()
@@ -164,8 +170,8 @@ class ExchangeGraph:
 
     def to_dot(self) -> str:
         lines = ["graph exchange {"]
-        for i, s in enumerate(self.seeds):
-            label = ", ".join(str(p) for p in s.cluster)
+        for i, cluster in enumerate(self.cluster_sets()):
+            label = ", ".join(cluster)
             suffix = " (frontier)" if self.frontier[i] else ""
             lines.append(f'  v{i} [label="{label}{suffix}"];')
         for u, v, ks in self.edges():

@@ -23,7 +23,11 @@ Division keeps its remainder on a max-heap of packed monomials and pops
 each leading term instead of rescanning.  A product whose smaller operand
 has fewer than PACK_MIN_TERMS terms stays on exponent tuples, where packing
 would cost more than it saves.  ``terms`` is keyed by exponent tuples
-either way.
+either way.  A square ``p * p`` on packed monomials forms each cross term
+a_i a_j (i < j) once and doubles it, so it takes about half the term
+products.  A product with the constant 1 returns the other operand itself,
+which is safe because values are immutable; powers, exchange products and
+fractions over the denominator 1 all multiply by 1.
 """
 
 from __future__ import annotations
@@ -222,6 +226,11 @@ class LaurentPolynomial:
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_context(other)
         a, b = self.terms, other.terms
+        # values are immutable, so a product with the constant 1 is the other operand
+        if len(a) == 1 and self.is_one():
+            return other
+        if len(b) == 1 and other.is_one():
+            return self
         terms: dict = {}
         get = terms.get
         if min(len(a), len(b)) < PACK_MIN_TERMS:
@@ -235,10 +244,22 @@ class LaurentPolynomial:
         # at most the sum of both operands' spans
         width = (sum(ha) - sum(la) + sum(hb) - sum(lb)).bit_length()
         pb = _pack(b, lb, width)
-        for ka, ca in _pack(a, la, width):
-            for kb, cb in pb:
-                k = ka + kb
-                terms[k] = get(k, 0) + ca * cb
+        if self is other:
+            # a square forms each cross term once, doubled: the triangle
+            # j >= i meets every key first where the full loop does, so the
+            # result's term order is the same
+            for i, (ka, ca) in enumerate(pb):
+                k = ka + ka
+                terms[k] = get(k, 0) + ca * ca
+                ca += ca
+                for kb, cb in pb[i + 1 :]:
+                    k = ka + kb
+                    terms[k] = get(k, 0) + ca * cb
+        else:
+            for ka, ca in _pack(a, la, width):
+                for kb, cb in pb:
+                    k = ka + kb
+                    terms[k] = get(k, 0) + ca * cb
         return LaurentPolynomial(self.vars, _unpack(terms, tuple(map(add, la, lb)), width))
 
     def shift(self, exps: Sequence[int]) -> "LaurentPolynomial":

@@ -76,22 +76,31 @@ class ExchangeMatrix:
         return self.rows[i - 1][j - 1]
 
     def mutate(self, k: int) -> "ExchangeMatrix":
-        """Matrix mutation in direction k: sign flip on row/column k, else
-        b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2 (always an integer)."""
+        """Matrix mutation in direction k: b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2
+        off row and column k, whose entries change sign.
+
+        The half-sum is b_ik |b_kj| where b_kj has the sign of b_ik and 0
+        elsewhere, so a row i != k with b_ik = 0 is reused as it is, and
+        row k is negated."""
         if not 1 <= k <= self.n:
             raise BadDirection(f"direction {k} outside [1, {self.n}]")
         kk = k - 1
+        pivot = self.rows[kk]
+        # (j, |b_kj|) where b_kj > 0, and where b_kj < 0
+        pos = [(j, b) for j, b in enumerate(pivot) if b > 0]
+        neg = [(j, -b) for j, b in enumerate(pivot) if b < 0]
         out = []
-        for i in range(self.n):
-            bik = self.rows[i][kk]
-            row = []
-            for j in range(self.n + self.m):
-                if i == kk or j == kk:
-                    row.append(-self.rows[i][j])
-                else:
-                    bkj = self.rows[kk][j]
-                    row.append(self.rows[i][j] + (abs(bik) * bkj + bik * abs(bkj)) // 2)
-            out.append(tuple(row))
+        for i, r in enumerate(self.rows):
+            bik = r[kk]
+            if i == kk:
+                r = tuple(-x for x in r)
+            elif bik:
+                row = list(r)
+                for j, b in pos if bik > 0 else neg:
+                    row[j] += bik * b
+                row[kk] = -bik
+                r = tuple(row)
+            out.append(r)
         return ExchangeMatrix(tuple(out), self.n, self.m)
 
     def permuted(self, perm: Sequence[int]) -> "ExchangeMatrix":
@@ -416,7 +425,8 @@ class Seed:
                 new_var = exchanges[key] = exchanges.setdefault(new_var, new_var)
         cluster = self.cluster[: k - 1] + (new_var,) + self.cluster[k:]
         coeffs = self.coeffs
-        if self.mode == GENERAL:
+        # over the trivial semifield every coefficient is its one element
+        if self.mode == GENERAL and self.semifield.kind != "trivial":
             coeffs = mutate_coefficients(coeffs, self.matrix, k, self.semifield)
         return Seed(self.matrix.mutate(k), cluster, self.mode, self.semifield, coeffs, self.vars)
 

@@ -1,0 +1,130 @@
+"""Every finite type of rank 6 to 8 but E6 and E8, as whole graphs, under
+all six checks.
+
+A standalone script, not collected by pytest (about three minutes):
+
+    PYTHONPATH=src python tests/finite_type_atlas.py           # A6-A8, B6-B8, C6-C8, D6-D8, E7
+    PYTHONPATH=src python tests/finite_type_atlas.py B8 E7     # the types named
+
+The cluster counts are those of Fomin and Zelevinsky, Cluster algebras II
+(Invent. Math. 154, 2003): Catalan(n+1) for A_n, C(2n, n) for B_n and C_n,
+(3n-2)/n * C(2n-2, n-1) for D_n, 833, 4,160 and 25,080 for E6, E7 and E8,
+105 for F4 and 8 for G2.  Each exchange graph is n-regular, so it has
+n * V / 2 edges.  `run_checks` enumerates two graphs, the coefficient-free
+one and the joint principal one, and both must be complete with those
+counts.  Every check must be confirmed on every vertex, except that toric
+is inconclusive, with its stated reason, exactly when det B = 0: every D_n
+and every odd rank.  B, C, F4 and G2 have a symmetrizer D != I and entries
+b = +-2 or +-3.  E6 runs in `e6_verify_check.py`, and E8 takes minutes
+per check.
+
+Each type runs in its linear orientation.  The script prints each type's
+time and the peak resident memory, and exits nonzero at the first type
+that fails, naming it and the answers that do not hold.
+"""
+
+import contextlib
+import math
+import resource
+import sys
+import time
+
+from clustermut import ExchangeMatrix, cli, coefficient_free_seed, verify
+from clustermut.seeds import int_det
+
+DEFAULT = [f"{t}{n}" for t in "ABCD" for n in (6, 7, 8)] + ["E7"]
+NONDEGENERACY = "det B = 0: nondegeneracy hypothesis unmet"
+
+
+def dynkin(n: int, double: tuple[int, int, int] | None = None, branch: int | None = None) -> ExchangeMatrix:
+    """The chain 1 -> 2 -> ... -> n-1, with n hanging off the branch vertex
+    (n-1 by default, which continues the chain); double = (i, j, c)
+    multiplies b_ij by c."""
+    rows = [[0] * n for _ in range(n)]
+    edges = [(i, i + 1) for i in range(1, n - 1)] + [(branch or n - 1, n)]
+    for i, j in edges:
+        rows[i - 1][j - 1], rows[j - 1][i - 1] = 1, -1
+    if double:
+        i, j, c = double
+        rows[i - 1][j - 1] *= c
+    return ExchangeMatrix.from_rows(rows)
+
+
+def catalan(n: int) -> int:
+    return math.comb(2 * n, n) // (n + 1)
+
+
+# name: (linear orientation, cluster count), for every finite type of rank 8 or less
+TYPES = {
+    **{f"A{n}": (dynkin(n), catalan(n + 1)) for n in range(2, 9)},
+    **{f"B{n}": (dynkin(n, (n, n - 1, 2)), math.comb(2 * n, n)) for n in range(2, 9)},
+    **{f"C{n}": (dynkin(n, (n - 1, n, 2)), math.comb(2 * n, n)) for n in range(3, 9)},
+    **{f"D{n}": (dynkin(n, branch=n - 2), (3 * n - 2) * math.comb(2 * n - 2, n - 1) // n) for n in range(4, 9)},
+    **{f"E{n}": (dynkin(n, branch=3), count) for n, count in ((6, 833), (7, 4160), (8, 25080))},
+    "F4": (dynkin(4, (3, 2, 2)), 105),
+    "G2": (dynkin(2, (2, 1, 3)), 8),
+}
+
+
+@contextlib.contextmanager
+def kept_graphs():
+    """Every graph that verify enumerates while open, in order."""
+    graphs, real = [], verify.enumerate_graph
+
+    def kept(*args, **kwargs):
+        graphs.append(real(*args, **kwargs))
+        return graphs[-1]
+
+    verify.enumerate_graph = kept
+    try:
+        yield graphs
+    finally:
+        verify.enumerate_graph = real
+
+
+def failures(b: ExchangeMatrix, vertices: int) -> list[str]:
+    """The answers that do not hold when run_checks reads the whole graph
+    of the coefficient-free seed of b; empty when all of them do."""
+    with kept_graphs() as graphs:
+        reports = {r.check: r for r in verify.run_checks(b, coefficient_free_seed(b), 64, cli.ALL_CHECKS)}
+    shape = (vertices, b.n * vertices // 2, True)
+    answers = [
+        (f"reports of {', '.join(sorted(cli.ALL_CHECKS))}", sorted(reports) == sorted(cli.ALL_CHECKS)),
+        (f"two complete graphs of {shape[0]} vertices and {shape[1]} edges",
+         [(g.vertex_count, g.edge_count, g.complete) for g in graphs] == [shape] * 2),
+    ]
+    for check in sorted(reports):
+        r = reports[check]
+        if check == "toric" and not int_det(b.rows):
+            answers.append((f"toric inconclusive: {NONDEGENERACY}",
+                            (r.verdict, r.witness) == ("inconclusive", NONDEGENERACY)))
+        else:
+            answers.append((f"{check} confirmed on {vertices} vertices",
+                            (r.verdict, r.stats.get("vertices")) == ("confirmed", vertices)))
+    return [label for label, ok in answers if not ok]
+
+
+def main(argv: list[str]) -> int:
+    names = argv or DEFAULT
+    unknown = [name for name in names if name not in TYPES]
+    if unknown:
+        print(f"unknown type {unknown[0]}; types: {' '.join(TYPES)}", file=sys.stderr)
+        return 2
+    start = time.perf_counter()
+    for name in names:
+        b, vertices = TYPES[name]
+        t0 = time.perf_counter()
+        failed = failures(b, vertices)
+        print(f"{name}: {vertices} vertices, {time.perf_counter() - t0:.1f} s", flush=True)
+        if failed:
+            for label in failed:
+                print(f"failed: {name}: {label}", file=sys.stderr)
+            return 1
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{len(names)} types in {time.perf_counter() - start:.1f} s, peak RSS {peak:.0f} MiB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -295,3 +295,48 @@ def test_squares_of_long_polynomials_round_trip():
     assert sq.exact_div(p) == p
     with pytest.raises(NotDivisible):
         (sq + lp("x1^20")).exact_div(p)
+
+
+@given(wide_polys())
+@settings(max_examples=150, deadline=None)
+def test_squares_match_naive_arithmetic_in_the_same_term_order(a):
+    # the square's triangle loop meets each key first where the full loop does
+    assert list((a * a).terms.items()) == list(naive_product(a, a).items())
+
+
+@st.composite
+def dense_polys(draw):
+    """Up to PACK_MIN_TERMS + 4 terms on few monomials, so that powers
+    collapse and take the packed square path; coefficients above 2^64."""
+    coeffs = st.one_of(st.integers(-9, 9), st.integers(2 ** 64, 2 ** 70), st.integers(-(2 ** 70), -(2 ** 64)))
+    terms = {}
+    for _ in range(draw(st.integers(0, PACK_MIN_TERMS + 4))):
+        e = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+        terms[e] = terms.get(e, 0) + draw(coeffs)
+    return LaurentPolynomial(V2, terms)
+
+
+@given(dense_polys())
+@settings(max_examples=40, deadline=None)
+def test_powers_match_repeated_naive_products(p):
+    expected = LaurentPolynomial.one(V2)
+    for k in range(8):
+        assert p ** k == expected, k
+        expected = LaurentPolynomial(V2, naive_product(expected, p))
+
+
+@pytest.mark.parametrize("text", ["0", "1", "-1", "x1^-2*x2", "3*x1 - x2^4 + 7"])
+def test_the_constant_one_returns_the_other_operand(text):
+    p, one = lp(text), LaurentPolynomial.one(V2)
+    for product in (p * one, one * p):
+        assert product == p
+        assert product is p or p.is_one()
+
+
+def test_a_one_of_another_context_is_a_context_mismatch():
+    one3 = LaurentPolynomial.one(V3)
+    for p in (lp("x1 + x2"), LaurentPolynomial.one(V2)):
+        with pytest.raises(ContextMismatch):
+            p * one3
+        with pytest.raises(ContextMismatch):
+            one3 * p

@@ -106,6 +106,31 @@ def test_matrix_mutation_involution(data):
     assert matrix_mutate(matrix_mutate(m, k), k) == m
 
 
+def textbook_mutation(rows, k):
+    """b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2, with row and column k negated."""
+    kk = k - 1
+    return tuple(
+        tuple(
+            -b if kk in (i, j) else b + (abs(r[kk]) * rows[kk][j] + r[kk] * abs(rows[kk][j])) // 2
+            for j, b in enumerate(r)
+        )
+        for i, r in enumerate(rows)
+    )
+
+
+def test_matrix_mutation_matches_the_textbook_formula():
+    rng = random.Random(18)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = random_skew_symmetrizable(rng, n, rng.randint(0, 3), max_entry=rng.randint(1, 3))
+        for k in range(1, n + 1):
+            mutated = matrix_mutate(m, k)
+            assert mutated.rows == textbook_mutation(m.rows, k), (m.rows, k)
+            # a row with b_ik = 0 is the same tuple object
+            assert all(new is old for i, (new, old) in enumerate(zip(mutated.rows, m.rows))
+                       if i != k - 1 and not old[k - 1])
+
+
 @given(st.data())
 @settings(max_examples=40)
 def test_mutation_preserves_symmetrizer_and_blocks(data):
