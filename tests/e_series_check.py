@@ -25,34 +25,22 @@ import resource
 import sys
 import time
 
-from clustermut import (
-    ExchangeMatrix,
-    check_adjacency,
-    check_cluster_determines_seed,
-    coefficient_free_seed,
-    enumerate_graph,
-)
+from clustermut import check_adjacency, check_cluster_determines_seed, coefficient_free_seed, enumerate_graph
 from clustermut.graph import DEFAULT_MAX_TERMS
+from finite_type_atlas import TYPES
 
-# name: (rank, clusters, term budget)
-TYPES = {"E7": (7, 4160, DEFAULT_MAX_TERMS), "E8": (8, 25080, 2 * 10 ** 7)}
-
-
-def e_matrix(n: int) -> ExchangeMatrix:
-    """The chain 1 -> 2 -> ... -> n-1 with the branch 3 -> n."""
-    rows = [[0] * n for _ in range(n)]
-    for a, b in [(i, i + 1) for i in range(1, n - 1)] + [(3, n)]:
-        rows[a - 1][b - 1], rows[b - 1][a - 1] = 1, -1
-    return ExchangeMatrix.from_rows(rows)
+# name: term budget
+BUDGETS = {"E7": DEFAULT_MAX_TERMS, "E8": 2 * 10 ** 7}
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1 or argv[0] not in TYPES:
-        print(f"usage: e_series_check.py {'|'.join(TYPES)}", file=sys.stderr)
+    if len(argv) != 1 or argv[0] not in BUDGETS:
+        print(f"usage: e_series_check.py {'|'.join(BUDGETS)}", file=sys.stderr)
         return 2
-    n, vertices, max_terms = TYPES[argv[0]]
+    matrix, vertices = TYPES[argv[0]]
+    n = matrix.n
     t0 = time.perf_counter()
-    graph = enumerate_graph(coefficient_free_seed(e_matrix(n)), 64, max_terms=max_terms)
+    graph = enumerate_graph(coefficient_free_seed(matrix), 64, max_terms=BUDGETS[argv[0]])
     t1 = time.perf_counter()
     seed_report = check_cluster_determines_seed(graph)
     adjacency = check_adjacency(graph)
