@@ -2,10 +2,10 @@
 
 Everything is computed symbolically over arbitrary-precision integers:
 cluster variables are Laurent polynomials in the initial extended cluster,
-coefficients live in one of three concrete semifields, and exchange graphs
-are enumerated as quotients of the n-regular tree with canonical
-deduplication.  Compatible closed 2-forms and machine checks of the
-structural theorems sit on top.
+coefficients live in a tropical semifield (rank 0 is coefficient-free) or
+the subtraction-free one, and exchange graphs are enumerated as quotients
+of the n-regular tree with canonical deduplication.  Compatible closed
+2-forms and machine checks of the structural theorems sit on top.
 """
 
 from .errors import (

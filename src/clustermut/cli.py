@@ -53,6 +53,11 @@ EXIT_INTERNAL = 4
 
 ALL_CHECKS = ("cluster-seed", "adjacency", "coincide", "g-spec", "toric", "laurent")
 
+# Every packed product builds a weight per ambient variable that no budget
+# counts: `verify "0 1;-1 0" --check cluster-seed --depth 2` took 18 MiB at
+# rank 1,000 and 225 MiB at rank 10,000 (Python 3.11, 2-vCPU VM).
+MAX_TROPICAL_RANK = 1000
+
 
 def load_matrix(source: str) -> ExchangeMatrix:
     """Accept a file path, inline JSON, or inline whitespace rows.
@@ -111,9 +116,7 @@ def build_seed(matrix: ExchangeMatrix, coeffs: str, rng_seed: int) -> Seed:
             rank = int(coeffs.split(":", 1)[1])
         except ValueError:
             raise ParseError(f"bad tropical rank in {coeffs!r}")
-        if rank < 0:
-            raise ParseError(f"negative tropical rank in {coeffs!r}")
-        return random_tropical_seed(matrix, rank, rng_seed)
+        return random_tropical_seed(matrix, _checked_rank(rank, repr(coeffs)), rng_seed)
     if coeffs.startswith("file:"):
         path = coeffs.split(":", 1)[1]
         with open(path) as fh:
@@ -125,8 +128,7 @@ def build_seed(matrix: ExchangeMatrix, coeffs: str, rng_seed: int) -> Seed:
                 raise ParseError(f"coefficient file {path} has no key {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bad coefficient file {path}: {exc}") from exc
-        if rank < 0:
-            raise ParseError(f"negative tropical rank in {path}")
+        _checked_rank(rank, path)
         if len(tuples) != matrix.n:
             raise ParseError(f"need {matrix.n} coefficient vectors")
         for i, t in enumerate(tuples, 1):
@@ -134,6 +136,14 @@ def build_seed(matrix: ExchangeMatrix, coeffs: str, rng_seed: int) -> Seed:
                 raise ParseError(f"coefficient vector {i} in {path} has {len(t.exps)} entries, not rank {rank}")
         return Seed.initial_general(matrix, TropicalSemifield(rank), tuple(tuples))
     raise ParseError(f"unknown coefficient mode {coeffs!r}")
+
+
+def _checked_rank(rank: int, source: str) -> int:
+    if rank < 0:
+        raise ParseError(f"negative tropical rank in {source}")
+    if rank > MAX_TROPICAL_RANK:
+        raise ParseError(f"tropical rank {rank} in {source} is above {MAX_TROPICAL_RANK}")
+    return rank
 
 
 def parse_path(text: str) -> tuple[int, ...]:

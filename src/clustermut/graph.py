@@ -150,12 +150,9 @@ class ExchangeGraph:
                 cluster = tuple(polys[s] for s in vtx["cluster"])
                 if mode == GEOMETRIC:
                     seed = Seed(matrix, cluster, GEOMETRIC, None, None, vars)
-                elif kind == "trivial":
-                    sf = TrivialSemifield()
-                    seed = Seed(matrix, cluster, "general", sf, tuple(sf.one() for _ in cluster), vars)
-                elif kind == "tropical":
-                    sf = TropicalSemifield(rank)
-                    coeffs = tuple(parse_tropical(rank, s) for s in vtx["coeffs"])
+                elif kind in ("trivial", "tropical"):
+                    sf = TrivialSemifield() if kind == "trivial" else TropicalSemifield(rank)
+                    coeffs = tuple(parse_tropical(sf.rank, s) for s in vtx["coeffs"])
                     seed = Seed(matrix, cluster, "general", sf, coeffs, vars)
                 else:
                     raise ParseError(f"cannot rebuild seeds over {kind!r} coefficients")
@@ -204,20 +201,22 @@ def enumerate_graph(
     again.  Two vertices claiming one (v, j) mean a broken exchange rule
     and raise ClusterMutError.
 
-    Every mutation shares one memo of exchange relations, seeded with the
-    root's cluster (see Seed.mutate): a relation met again is read back
-    instead of recomputed, and equal cluster variables are one object, so
-    keys compare by identity.  The memo lives as long as this call.
+    Every mutation, the companions' too, shares one memo of exchange
+    relations, seeded with every root's cluster (see Seed.mutate): a
+    relation met again is read back instead of recomputed, and equal
+    cluster variables are one object, so keys compare by identity.  Seeds
+    of different ambient contexts never share an entry, and seeds of one
+    context share only identical relations.  It lives as long as this call.
 
-    Each companion seed is mutated along every edge computed, with its own
-    memo, and permuted as initial's side is (initial needs distinct cluster
-    variables, as principal coefficients give); graph.companions holds them
-    per vertex.  A vertex is looked up by initial's canonical key together
-    with the slot-aligned companions, so the graph is the joint quotient: two
-    paths meet only where every seed glues them, and a companion that
-    arrives otherwise starts a new vertex.  Where every side glues as
-    initial does, as coefficient independence has it for seeds of one
-    principal matrix, this is initial's own graph.
+    Each companion seed is mutated along every edge computed and permuted
+    as initial's side is (initial needs distinct cluster variables, as
+    principal coefficients give); graph.companions holds them per vertex.
+    A vertex is looked up by initial's canonical key together with the
+    slot-aligned companions, so the graph is the joint quotient: two paths
+    meet only where every seed glues them, and a companion that arrives
+    otherwise starts a new vertex.  Where every side glues as initial
+    does, as coefficient independence has it for seeds of one principal
+    matrix, this is initial's own graph.
 
     graph.paths[v] is paths[u] plus the step k of the least (u, k) of the
     previous layer reaching v, read in initial's own directions through
@@ -246,8 +245,7 @@ def enumerate_graph(
     neighbors: list[dict[int, int]] = [{}]
     # back[v][j] = u: direction j of v undoes a mutation computed from u
     back: list[dict[int, int]] = [{}]
-    exchanges: dict = {x: x for x in rep0.cluster}
-    memos = [{x: x for x in s.cluster} for s in companions]
+    exchanges: dict = {x: x for s in (rep0, *companions) for x in s.cluster}
     mutations = reused = hits = 0
     term_total = sum(len(p.terms) for s in (rep0, *companions) for p in s.cluster)
 
@@ -277,7 +275,7 @@ def enumerate_graph(
                 perm = child.canonical_permutation()
                 child = child.permuted(perm)
                 ck = child._canonical_key()
-                arrived = tuple(s.mutate(k, exchanges=m).permuted(perm) for s, m in zip(sides[u], memos))
+                arrived = tuple(s.mutate(k, exchanges=exchanges).permuted(perm) for s in sides[u])
                 idx = index.get((ck, arrived))
                 if idx is None:
                     if len(seeds) + 1 > max_vertices:

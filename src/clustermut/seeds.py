@@ -35,7 +35,6 @@ from .semifield import (
     TrivialSemifield,
     TropicalElement,
     TropicalSemifield,
-    g_vars,
 )
 
 GENERAL = "general"
@@ -337,13 +336,7 @@ class Seed:
     def initial_general(cls, matrix: ExchangeMatrix, semifield, coeffs: tuple | None = None) -> "Seed":
         if matrix.m != 0:
             raise ContextMismatch("general seeds take a plain n x n matrix")
-        rank = semifield.rank
-        if semifield.kind == "tropical":
-            vars = ambient_vars(matrix.n) + g_vars(rank)
-        elif semifield.kind == "subtraction-free":
-            vars = ambient_vars(matrix.n) + semifield.vars
-        else:
-            vars = ambient_vars(matrix.n)
+        vars = ambient_vars(matrix.n) + semifield.vars
         if coeffs is None:
             coeffs = tuple(semifield.one() for _ in range(matrix.n))
         if len(coeffs) != matrix.n:
@@ -367,15 +360,12 @@ class Seed:
             return self.cluster[i]
         return LaurentPolynomial.variable(self.vars, i)
 
-    def _embed(self, element) -> LaurentPolynomial:
-        """Semifield element as a Laurent monomial over the ambient context
+    def _embed(self, element: TropicalElement) -> LaurentPolynomial:
+        """Tropical element as a Laurent monomial over the ambient context
         (generator j at position n + j - 1)."""
-        if isinstance(element, TropicalElement):
-            exps = [0] * len(self.vars)
-            for j, a in enumerate(element.exps):
-                exps[self.n + j] = a
-            return LaurentPolynomial.monomial(self.vars, exps)
-        return LaurentPolynomial.one(self.vars)
+        exps = (0,) * self.n + element.exps
+        exps += (0,) * (len(self.vars) - len(exps))
+        return LaurentPolynomial(self.vars, {exps: 1})
 
     def _embed_fraction(self, element) -> LaurentFraction:
         if isinstance(element, SubtractionFreeRational):
@@ -399,8 +389,9 @@ class Seed:
         b_ki) with b_ki != 0 over the mutable slots and the stable part of
         row k, which is all the relation reads) to its x_k', and each x_k'
         to itself, so that equal variables share one object.  A hit forms
-        no product and divides nothing; the caller seeds it with the root's
-        cluster, as in {x: x for x in root.cluster}.
+        no product and divides nothing; the caller seeds it with its roots'
+        clusters, as in {x: x for x in root.cluster}.  Seeds of different
+        ambient contexts may share one memo: their keys never compare equal.
         """
         if not 1 <= k <= self.n:
             raise BadDirection(f"direction {k} outside [1, {self.n}]")
@@ -425,8 +416,8 @@ class Seed:
                 new_var = exchanges[key] = exchanges.setdefault(new_var, new_var)
         cluster = self.cluster[: k - 1] + (new_var,) + self.cluster[k:]
         coeffs = self.coeffs
-        # over the trivial semifield every coefficient is its one element
-        if self.mode == GENERAL and self.semifield.kind != "trivial":
+        # over Trop(), the rank-0 tropical semifield, every coefficient is 1
+        if self.mode == GENERAL and self.semifield.rank:
             coeffs = mutate_coefficients(coeffs, self.matrix, k, self.semifield)
         return Seed(self.matrix.mutate(k), cluster, self.mode, self.semifield, coeffs, self.vars)
 

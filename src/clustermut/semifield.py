@@ -1,8 +1,8 @@
-"""The three concrete semifields used by the engine.
+"""The concrete semifields used by the engine.
 
 * tropical: free multiplicative group on g1..gm with a (+) b = componentwise
-  minimum of exponent vectors; defines geometric type.
-* trivial: the one-element semifield {1}; coefficient-free algebras.
+  minimum of exponent vectors; defines geometric type.  Rank 0, Trop() = {1},
+  is the trivial semifield of coefficient-free algebras (TrivialSemifield).
 * subtraction-free rationals: ratios of polynomials with nonnegative integer
   coefficients in y1..yn; carries Y-patterns.  An element is a Laurent
   fraction with its common monomial and integer content stripped.
@@ -72,16 +72,13 @@ class TropicalElement:
         return f"TropicalElement({self.exps})"
 
 
-class TrivialElement:
-    """The unique element of the one-element semifield."""
+class TrivialElement(TropicalElement):
+    """TropicalElement(()), the 1 of Trop(); its operations return self."""
 
     __slots__ = ()
-    _instance = None
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self):
+        object.__setattr__(self, "exps", ())
 
     def __mul__(self, other):
         return self
@@ -95,17 +92,8 @@ class TrivialElement:
     def oplus(self, other):
         return self
 
-    def __eq__(self, other):
-        return isinstance(other, TrivialElement)
-
-    def __hash__(self):
-        return hash("trivial-one")
-
     def __str__(self):
         return "1"
-
-    def __repr__(self):
-        return "TrivialElement()"
 
 
 class SubtractionFreeRational(LaurentFraction):
@@ -156,6 +144,7 @@ class TropicalSemifield:
 
     def __init__(self, rank: int):
         self.rank = rank
+        self.vars = g_vars(rank)
 
     def one(self) -> TropicalElement:
         return TropicalElement((0,) * self.rank)
@@ -180,24 +169,16 @@ class TropicalSemifield:
         return f"TropicalSemifield(rank={self.rank})"
 
 
-class TrivialSemifield:
+class TrivialSemifield(TropicalSemifield):
+    """Trop() = {1}, coefficient-free; "trivial" is its JSON label."""
+
     kind = "trivial"
-    rank = 0
+
+    def __init__(self):
+        super().__init__(0)
 
     def one(self) -> TrivialElement:
         return TrivialElement()
-
-    def nat(self, c: int) -> TrivialElement:
-        return TrivialElement()
-
-    def __eq__(self, other):
-        return isinstance(other, TrivialSemifield)
-
-    def __hash__(self):
-        return hash("trivial")
-
-    def __repr__(self):
-        return "TrivialSemifield()"
 
 
 class SubtractionFreeSemifield:

@@ -302,6 +302,26 @@ def test_bad_coefficients_and_paths_are_usage_errors(argv, file_text, message, t
     assert captured.err == f"error: {message.format(file=coeff_file)}\n"
 
 
+@pytest.mark.parametrize("rank, form", [(cli.MAX_TROPICAL_RANK + 1, "inline"), (10 ** 5, "inline"),
+                                        (cli.MAX_TROPICAL_RANK + 1, "file")])
+def test_a_tropical_rank_above_the_bound_is_usage_error(rank, form, tmp_path, capsys):
+    # each ambient variable widens every packed product, uncounted by any
+    # budget: without the bound, rank 100,000 runs out of memory on A2
+    coeffs, source = f"tropical:{rank}", f"'tropical:{rank}'"
+    if form == "file":
+        source = tmp_path / "coeffs.json"
+        source.write_text(json.dumps({"rank": rank, "coefficients": [[0] * rank] * 2}))
+        coeffs = f"file:{source}"
+    code, err = usage_error(["verify", A2_TEXT, "--coeffs", coeffs], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == f"error: tropical rank {rank} in {source} is above {cli.MAX_TROPICAL_RANK}\n"
+
+
+def test_the_largest_tropical_rank_still_runs(capsys):
+    code, out = run(["enumerate", A2_TEXT, "--coeffs", f"tropical:{cli.MAX_TROPICAL_RANK}"], capsys)
+    assert (code, out) == (cli.EXIT_OK, "5 vertices, 5 edges, complete\n")
+
+
 def test_engine_error_exits_one_with_one_line(capsys, monkeypatch):
     def failing(self, other):
         raise NotDivisible("injected: leading monomial not divisible")
@@ -478,7 +498,10 @@ def _fuzzed_argv(draw):
         argv.append(",".join(str(k) for k in draw(st.lists(st.integers(0, 4), max_size=3))))
     argv += [
         "--format", draw(st.sampled_from(["text", "json", "dot"])),
-        "--coeffs", draw(st.sampled_from(["trivial", "principal", "tropical:1", "tropical:2"])),
+        "--coeffs", draw(st.sampled_from(
+            ["trivial", "principal", "tropical:0", "tropical:1", "tropical:2",
+             f"tropical:{cli.MAX_TROPICAL_RANK + 1}"]
+        )),
         "--depth", str(draw(st.integers(0, 2))),
         "--max-vertices", str(draw(st.integers(0, 30))),
         "--max-terms", str(draw(st.integers(0, 500))),

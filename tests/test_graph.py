@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -12,6 +13,8 @@ from clustermut import (
     ExchangeMatrix,
     LaurentPolynomial,
     Seed,
+    TrivialSemifield,
+    TropicalElement,
     TropicalSemifield,
     canonicalize_seed,
     coefficient_free_seed,
@@ -272,6 +275,31 @@ def test_json_parses_each_variable_text_once(name, monkeypatch):
     assert len({id(x) for s in again.seeds for x in s.cluster}) == len(texts)
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
+def test_coefficient_free_is_the_rank_0_tropical_graph(name, g2):
+    # Trop() = {1}: the graphs are equal and only the JSON label differs
+    matrix = g2 if name == "G2" else ExchangeMatrix.from_rows(FINITE_TYPES[name][0])
+    free = enumerate_graph(coefficient_free_seed(matrix), 20)
+    rank0 = enumerate_graph(Seed.initial_general(matrix, TropicalSemifield(0)), 20)
+    assert free == rank0 and free.complete
+    assert free.stats == rank0.stats
+    a, b = json.loads(free.to_json()), json.loads(rank0.to_json())
+    assert (a.pop("coefficients"), b.pop("coefficients")) == ("trivial", "tropical")
+    assert a == b
+
+
+def test_coefficient_free_json_round_trips_through_the_tropical_parser(a3):
+    g = enumerate_graph(coefficient_free_seed(a3), 20)
+    again = ExchangeGraph.from_json(g.to_json())
+    assert again == g
+    assert again.export("json") == g.export("json")
+    seed = again.seeds[-1]
+    assert seed.semifield == TrivialSemifield() and seed.semifield.kind == "trivial"
+    assert seed.coeffs == (TropicalElement(()),) * 3
+    # a parsed seed mutates as the enumerated one does
+    assert [seed.mutate(k).key() for k in (1, 2, 3)] == [g.seeds[-1].mutate(k).key() for k in (1, 2, 3)]
+
+
 def test_json_round_trip_geometric(a2):
     g = enumerate_graph(principal_seed(a2), 10)
     assert ExchangeGraph.from_json(g.to_json()) == g
@@ -524,6 +552,30 @@ def test_memo_interns_each_cluster_variable_once():
     graph = enumerate_graph(coefficient_free_seed(ExchangeMatrix.from_rows(FINITE_TYPES["A4"][0])), 20)
     assert graph.vertex_count == 42
     assert len({id(x) for seed in graph.seeds for x in seed.cluster}) == 14
+
+
+def test_companions_share_the_memo_of_their_context(a3, monkeypatch):
+    # a coefficient-free companion of a coefficient-free root meets only the
+    # root's relations; the principal, coefficient-free and tropical seeds
+    # live in three contexts and share none
+    calls = []
+    real = Seed._exchange
+
+    def counted(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(Seed, "_exchange", counted)
+    cases = [
+        (coefficient_free_seed(a3), (), 15),
+        (coefficient_free_seed(a3), (coefficient_free_seed(a3),), 15),
+        (principal_seed(a3), (coefficient_free_seed(a3), random_tropical_seed(a3, 3, 1)), 45),
+    ]
+    for root, companions, exchanges in cases:
+        calls.clear()
+        graph = enumerate_graph(root, 20, companions=companions)
+        assert len(calls) == exchanges
+        assert (graph.vertex_count, graph.stats["mutations"], graph.stats["exchange_cache_hits"]) == (14, 21, 6)
 
 
 def test_memo_divides_once_per_distinct_relation(monkeypatch):

@@ -39,6 +39,26 @@ def test_trivial_oplus():
     assert sf_inv(one) == one
 
 
+def test_trivial_semifield_is_the_rank_0_tropical_semifield():
+    trivial = TrivialSemifield()
+    assert trivial == TropicalSemifield(0) and TropicalSemifield(0) == trivial
+    assert hash(trivial) == hash(TropicalSemifield(0))
+    assert trivial != TropicalSemifield(1)
+    assert (trivial.kind, TropicalSemifield(0).kind) == ("trivial", "tropical")
+    assert (trivial.rank, trivial.vars) == (0, ())
+    assert trivial.one() == trivial.nat(3) == TropicalSemifield(0).one()
+
+
+def test_trivial_element_is_the_rank_0_tropical_element():
+    one, rank0 = TrivialElement(), TropicalElement(())
+    assert one == rank0 and rank0 == one
+    assert hash(one) == hash(rank0)
+    assert str(one) == str(rank0) == "1"
+    assert one != TropicalElement((0,))
+    for result in (one * one, one * rank0, rank0 * one, one.inv(), one.pow(-3), one.oplus(rank0)):
+        assert result == rank0
+
+
 def test_subtraction_free_oplus_is_fraction_addition():
     y1 = sf_elem("y1")
     assert sf_oplus(y1, sf_elem("1")) == sf_elem("y1 + 1")
