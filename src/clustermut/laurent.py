@@ -28,6 +28,14 @@ a_i a_j (i < j) once and doubles it, so it takes about half the term
 products.  A product with the constant 1 returns the other operand itself,
 which is safe because values are immutable; powers, exchange products and
 fractions over the denominator 1 all multiply by 1.
+
+``exchange_quotient`` solves an exchange relation x_k x_k' = P+ + P- in
+one packed pass: one field width for the whole relation, each factor
+packed once, powers by packed squaring, both products accumulated into
+the remainder map of the division, monomial factors as shifts, and only
+the quotient unpacked, with its sort key read off the division's
+descending order.  ``*``, ``exact_div`` and the relation share one
+packed product loop (and its square), and one heap division loop.
 """
 
 from __future__ import annotations
@@ -84,6 +92,98 @@ def _unpack(packed: Mapping[int, int], low: Exps, width: int) -> dict[Exps, int]
     mask = (1 << width) - 1
     fields = [(width * i, m) for i, m in zip(reversed(range(len(low))), low)]
     return {tuple([((key >> s) & mask) + m for s, m in fields]): c for key, c in packed.items()}
+
+
+def _mul_into(out: dict[int, int], pa, pb) -> dict[int, int]:
+    """Add the product of two packed term lists into ``out``."""
+    get = out.get
+    for ka, ca in pa:
+        for kb, cb in pb:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
+def _square_into(out: dict[int, int], pa) -> dict[int, int]:
+    """Add the square of a packed term list into ``out``, forming each
+    cross term once, doubled: the triangle j >= i meets every key first
+    where the full loop does, so the term order is the same."""
+    get = out.get
+    for i, (ka, ca) in enumerate(pa):
+        k = ka + ka
+        out[k] = get(k, 0) + ca * ca
+        ca += ca
+        for kb, cb in pa[i + 1 :]:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
+def _nonzero(packed: dict[int, int]) -> list[tuple[int, int]]:
+    return [(k, c) for k, c in packed.items() if c]
+
+
+def _packed_power(pa: list[tuple[int, int]], e: int) -> list[tuple[int, int]]:
+    """pa ** e for e >= 1 by the binary method of ``__pow__``, squaring on
+    the triangle."""
+    result = None
+    while True:
+        if e & 1:
+            result = pa if result is None else _nonzero(_mul_into({}, result, pa))
+        e >>= 1
+        if not e:
+            return result
+        pa = _nonzero(_square_into({}, pa))
+
+
+def _divide(rem: dict[int, int], low: Exps, high: Exps, width: int, den) -> dict[Exps, int]:
+    """The terms of the exact quotient of a dividend by ``den``, in
+    descending term order; NotDivisible unless the remainder ends at zero.
+
+    ``rem``, which is consumed, maps the dividend's packed monomials to
+    their nonzero coefficients.  They are packed less ``low`` in fields of
+    ``width`` bits, and all lie in the box [low, high], whose shifted
+    total degree must leave the top bit of every field free.  The box may
+    be larger than the dividend's own: the Newton-polytope refusals of
+    ``exact_div`` stay proofs, only looser ones.
+    """
+    md, hd = _exponent_box(den.terms)
+    room = tuple((a - b) - (c - d) for a, b, c, d in zip(high, low, hd, md))
+    if any(r < 0 for r in room):
+        raise NotDivisible("leading monomial not divisible")
+    guard = sum(1 << (width * i + width - 1) for i in range(len(room) + 1))
+    (limit, _), = _pack({room: 1}, (0,) * len(room), width)
+    den_p = sorted(_pack(den.terms, md, width), reverse=True)
+    (den_lead, den_lc), den_rest = den_p[0], den_p[1:]
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    quo: dict[int, int] = {}
+    while heap:
+        lead = -heapq.heappop(heap)
+        lc = rem.pop(lead, None)
+        if lc is None:
+            continue  # cancelled after it was pushed
+        e = lead - den_lead
+        if e & guard or (limit - e) & guard:
+            raise NotDivisible("leading monomial not divisible")
+        q, r = divmod(lc, den_lc)
+        if r:
+            raise NotDivisible(f"coefficient {lc} not divisible by {den_lc}")
+        quo[e] = q
+        for kb, cb in den_rest:
+            t = e + kb
+            c = rem.get(t)
+            if c is None:
+                rem[t] = -q * cb
+                heapq.heappush(heap, -t)
+            else:
+                c -= q * cb
+                if c:
+                    rem[t] = c
+                else:
+                    del rem[t]
+    # the quotient's terms came off the heap in descending order
+    return _unpack(quo, tuple(map(sub, low, md)), width)
 
 
 def ambient_vars(n: int, m: int = 0, extra: Sequence[str] = ()) -> tuple[str, ...]:
@@ -231,9 +331,9 @@ class LaurentPolynomial:
             return other
         if len(b) == 1 and other.is_one():
             return self
-        terms: dict = {}
-        get = terms.get
         if min(len(a), len(b)) < PACK_MIN_TERMS:
+            terms: dict = {}
+            get = terms.get
             for ea, ca in a.items():
                 for eb, cb in b.items():
                     e = tuple(map(add, ea, eb))
@@ -245,21 +345,9 @@ class LaurentPolynomial:
         width = (sum(ha) - sum(la) + sum(hb) - sum(lb)).bit_length()
         pb = _pack(b, lb, width)
         if self is other:
-            # a square forms each cross term once, doubled: the triangle
-            # j >= i meets every key first where the full loop does, so the
-            # result's term order is the same
-            for i, (ka, ca) in enumerate(pb):
-                k = ka + ka
-                terms[k] = get(k, 0) + ca * ca
-                ca += ca
-                for kb, cb in pb[i + 1 :]:
-                    k = ka + kb
-                    terms[k] = get(k, 0) + ca * cb
+            terms = _square_into({}, pb)
         else:
-            for ka, ca in _pack(a, la, width):
-                for kb, cb in pb:
-                    k = ka + kb
-                    terms[k] = get(k, 0) + ca * cb
+            terms = _mul_into({}, _pack(a, la, width), pb)
         return LaurentPolynomial(self.vars, _unpack(terms, tuple(map(add, la, lb)), width))
 
     def shift(self, exps: Sequence[int]) -> "LaurentPolynomial":
@@ -318,44 +406,9 @@ class LaurentPolynomial:
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero():
             return self
-        (mn, hn), (md, hd) = _exponent_box(self.terms), _exponent_box(den.terms)
-        room = tuple((a - b) - (c - d) for a, b, c, d in zip(hn, mn, hd, md))
-        if any(r < 0 for r in room):
-            raise NotDivisible("leading monomial not divisible")
+        mn, hn = _exponent_box(self.terms)
         width = (sum(hn) - sum(mn)).bit_length() + 1
-        guard = sum(1 << (width * i + width - 1) for i in range(len(room) + 1))
-        (limit, _), = _pack({room: 1}, (0,) * len(room), width)
-        den_p = sorted(_pack(den.terms, md, width), reverse=True)
-        (den_lead, den_lc), den_rest = den_p[0], den_p[1:]
-        rem = dict(_pack(self.terms, mn, width))
-        heap = [-k for k in rem]
-        heapq.heapify(heap)
-        quo: dict[int, int] = {}
-        while heap:
-            lead = -heapq.heappop(heap)
-            lc = rem.pop(lead, None)
-            if lc is None:
-                continue  # cancelled after it was pushed
-            e = lead - den_lead
-            if e & guard or (limit - e) & guard:
-                raise NotDivisible("leading monomial not divisible")
-            q, r = divmod(lc, den_lc)
-            if r:
-                raise NotDivisible(f"coefficient {lc} not divisible by {den_lc}")
-            quo[e] = q
-            for kb, cb in den_rest:
-                t = e + kb
-                c = rem.get(t)
-                if c is None:
-                    rem[t] = -q * cb
-                    heapq.heappush(heap, -t)
-                else:
-                    c -= q * cb
-                    if c:
-                        rem[t] = c
-                    else:
-                        del rem[t]
-        return LaurentPolynomial(self.vars, _unpack(quo, tuple(map(sub, mn, md)), width))
+        return LaurentPolynomial(self.vars, _divide(dict(_pack(self.terms, mn, width)), mn, hn, width, den))
 
     def derivative(self, index: int) -> "LaurentPolynomial":
         """Formal partial derivative with respect to the variable at
@@ -421,6 +474,79 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({render_poly(self)!r})"
+
+
+def exchange_quotient(
+    vars: tuple[str, ...],
+    plus: Sequence[tuple[LaurentPolynomial, int]],
+    minus: Sequence[tuple[LaurentPolynomial, int]],
+    den: LaurentPolynomial,
+) -> LaurentPolynomial:
+    """(prod p^e over plus + prod q^f over minus) / den for lists of
+    (polynomial, exponent >= 0) pairs over ``vars``: the exchange relation
+    x_k x_k' = P+ + P- solved for x_k'.  The quotient equals the sum of
+    the products divided by ``exact_div``, in its terms and their order,
+    and NotDivisible is raised exactly where that division raises it.
+
+    The whole relation runs on packed monomials of one field width, taken
+    from the hull of both products' exponent boxes (each the sum of its
+    factors' boxes times their exponents).  The hull contains every
+    factor power, partial product and remainder monomial, so no field
+    wraps.  Each factor is packed once and its power formed by packed
+    squaring; both products accumulate into the remainder map of the
+    division, and only the quotient is unpacked.  Monomial factors are
+    not multiplied: they shift and scale their side.
+    """
+    for p, e in (*plus, *minus, (den, 1)):
+        if p.vars != vars:
+            raise ContextMismatch(f"contexts differ: {vars} vs {p.vars}")
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+    if den.is_zero():
+        raise DivisionByZero("division by the zero polynomial")
+    n = len(vars)
+    # per nonzero side: its box, the scale of its monomial factors, and
+    # its other factors as (terms, low corner, exponent)
+    sides = []
+    for factors in (plus, minus):
+        low = high = (0,) * n
+        scale, polys = 1, []
+        for p, e in factors:
+            if not e:
+                continue
+            if not p.terms:
+                break  # the side is zero
+            if len(p.terms) == 1:
+                (exps, c), = p.terms.items()
+                lo = hi = exps
+                scale *= c ** e
+            else:
+                lo, hi = _exponent_box(p.terms)
+                polys.append((p.terms, lo, e))
+            low = tuple(a + e * b for a, b in zip(low, lo))
+            high = tuple(a + e * b for a, b in zip(high, hi))
+        else:
+            sides.append((low, high, scale, polys))
+    if not sides:
+        return LaurentPolynomial.zero(vars)
+    low = tuple(map(min, zip(*(s[0] for s in sides))))
+    high = tuple(map(max, zip(*(s[1] for s in sides))))
+    width = (sum(high) - sum(low)).bit_length() + 1
+    zero = (0,) * n
+    rem: dict[int, int] = {}
+    for side_low, _, scale, polys in sides:
+        # the monomial part, shifted into the hull, starts the product
+        acc = _pack({tuple(map(sub, side_low, low)): scale}, zero, width)
+        powers = [_packed_power(_pack(terms, lo, width), e) for terms, lo, e in polys]
+        last = powers.pop() if powers else [(0, 1)]  # packed 1
+        for p in powers:
+            acc = _nonzero(_mul_into({}, acc, p))
+        _mul_into(rem, acc, last)
+    rem = {k: c for k, c in rem.items() if c}
+    quo = LaurentPolynomial(vars, _divide(rem, low, high, width, den) if rem else {})
+    # the quotient's terms are in descending order already: no sort for its key
+    object.__setattr__(quo, "_key", tuple((grlex_key(e), c) for e, c in quo.terms.items()))
+    return quo
 
 
 def render_monomial(vars: tuple[str, ...], exps: Exps) -> str:

@@ -28,7 +28,7 @@ from .errors import (
     NotSkewSymmetrizable,
     ParseError,
 )
-from .laurent import LaurentFraction, LaurentPolynomial, ambient_vars
+from .laurent import PACK_MIN_TERMS, LaurentFraction, LaurentPolynomial, ambient_vars, exchange_quotient
 from .semifield import (
     SubtractionFreeRational,
     SubtractionFreeSemifield,
@@ -422,15 +422,27 @@ class Seed:
         return Seed(self.matrix.mutate(k), cluster, self.mode, self.semifield, coeffs, self.vars)
 
     def _exchange(self, k: int) -> LaurentPolynomial:
-        """x_k' = (c+ P+ + c- P-) / x_k by exact division."""
+        """x_k' = (c+ P+ + c- P-) / x_k by exact division, in one packed
+        pass of exchange_quotient.  Where x_k and every x_i with b_ki != 0
+        have fewer than PACK_MIN_TERMS terms, packing costs more than it
+        saves, so P+ and P- are multiplied out and their sum divided."""
         if self.mode == GEOMETRIC:
             plus = minus = LaurentPolynomial.one(self.vars)
         else:
             yk = self.coeffs[k - 1]
             u_inv = yk.oplus(self.semifield.one()).inv()
             plus, minus = self._embed(yk * u_inv), self._embed(u_inv)
-        plus, minus = self._exchange_products(k, plus, minus)
-        return (plus + minus).exact_div(self.cluster[k - 1])
+        den = self.cluster[k - 1]
+        row = self.matrix.rows[k - 1]
+        longest = max([len(den.terms)] + [len(x.terms) for x, b in zip(self.cluster, row) if b])
+        if longest < PACK_MIN_TERMS:
+            plus, minus = self._exchange_products(k, plus, minus)
+            return (plus + minus).exact_div(den)
+        sides = ([(plus, 1)], [(minus, 1)])
+        for i, b in enumerate(row):
+            if b:
+                sides[b < 0].append((self.extended_value(i), abs(b)))
+        return exchange_quotient(self.vars, *sides, den)
 
     def _exchange_products(
         self, k: int, plus: LaurentPolynomial, minus: LaurentPolynomial

@@ -73,7 +73,8 @@ class TropicalElement:
 
 
 class TrivialElement(TropicalElement):
-    """TropicalElement(()), the 1 of Trop(); its operations return self."""
+    """TropicalElement(()), the 1 of Trop(); its operations return self,
+    after the rank check of TropicalElement."""
 
     __slots__ = ()
 
@@ -81,6 +82,7 @@ class TrivialElement(TropicalElement):
         object.__setattr__(self, "exps", ())
 
     def __mul__(self, other):
+        self._check(other)
         return self
 
     def inv(self):
@@ -90,6 +92,7 @@ class TrivialElement(TropicalElement):
         return self
 
     def oplus(self, other):
+        self._check(other)
         return self
 
     def __str__(self):

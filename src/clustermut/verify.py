@@ -365,10 +365,9 @@ def check_laurent(
 def _laurent_verdict(initial: Seed, depth: int, graph: ExchangeGraph) -> VerificationReport:
     """check_laurent's report on the graph it enumerated without error."""
     instance = f"B={initial.matrix.to_json()} depth={depth}"
-    bits = 0
-    for seed in graph.seeds:
-        for p in seed.cluster:
-            bits = max(bits, p.max_coeff_bits())
+    # cluster variables are interned, so each distinct object is read once
+    distinct = {id(p): p for seed in graph.seeds for p in seed.cluster}
+    bits = max((p.max_coeff_bits() for p in distinct.values()), default=0)
     stats = {"vertices": graph.vertex_count, "max_coeff_bits": bits}
     return VerificationReport("laurent", instance, CONFIRMED, None, stats)
 

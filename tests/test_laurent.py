@@ -13,7 +13,7 @@ from clustermut import (
     lp_exact_div,
     parse_poly,
 )
-from clustermut.laurent import PACK_MIN_TERMS
+from clustermut.laurent import PACK_MIN_TERMS, exchange_quotient
 
 V2 = ambient_vars(2)
 V3 = ambient_vars(3)
@@ -340,3 +340,85 @@ def test_a_one_of_another_context_is_a_context_mismatch():
             p * one3
         with pytest.raises(ContextMismatch):
             one3 * p
+
+
+# -- exchange relations in one packed pass -------------------------------------------
+
+
+def monomials(vars):
+    """Monomials with negative exponents and coefficients other than 1."""
+    exps = st.tuples(*[st.integers(-4, 4)] * len(vars))
+    return st.builds(lambda e, c: LaurentPolynomial.monomial(vars, e, c), exps, st.sampled_from([1, -1, 2, -3]))
+
+
+def naive_power_product(vars, factors):
+    acc = LaurentPolynomial.one(vars)
+    for p, e in factors:
+        for _ in range(e):
+            acc = LaurentPolynomial(vars, naive_product(acc, p))
+    return acc
+
+
+@st.composite
+def exchange_relations(draw, polys, vars):
+    """(plus, minus, den, shape): factor lists of (polynomial, exponent 0..5)
+    and a nonzero divisor.  The shape says how the divisor relates to the
+    sum of both products.  The term counts of each side's factor powers
+    multiply to at most 2,000 (the divisor's own power aside), so that the
+    naive products stay small."""
+    budget = [2000, 2000]
+
+    def factor(side, p):
+        top = max(e for e in range(6) if len(p.terms) ** e <= budget[side])
+        e = draw(st.integers(1 if p is den else 0, max(top, 1)))
+        budget[side] = max(budget[side] // max(len(p.terms), 1) ** e, 1)
+        return p, e
+
+    den = draw(polys.filter(lambda p: not p.is_zero()))
+    shape = draw(st.sampled_from(["divides both", "cancels", "zero dividend", "corrupt lead", "corrupt term", "free"]))
+    plus, minus = [], []
+    if shape != "free":
+        plus.append(factor(0, den))
+        minus.append(factor(1, den))
+    for side, out in enumerate((plus, minus)):
+        for _ in range(draw(st.integers(0, 2))):
+            out.append(factor(side, draw(st.one_of(polys, monomials(vars)))))
+    minus_one = LaurentPolynomial.const(vars, -1)
+    if shape == "zero dividend":
+        minus = [(minus_one, 1)] + plus
+    elif shape == "cancels":
+        # P- = -(P+ + den^e * h): every term of P+ cancels
+        h = draw(st.one_of(polys, monomials(vars)))
+        minus = [(minus_one, 1), (naive_power_product(vars, plus) + naive_power_product(vars, [plus[0], (h, 1)]), 1)]
+    elif shape == "corrupt term":
+        e, c = draw(st.sampled_from(sorted(den.terms.items())))
+        den = LaurentPolynomial(vars, {**den.terms, e: c + draw(st.sampled_from([1, -1, 5]))})
+    return plus, minus, den, shape
+
+
+@given(st.one_of(exchange_relations(wide_polys(), V3), exchange_relations(dense_polys(), V2)))
+@settings(max_examples=200, deadline=None)
+def test_exchange_quotient_matches_naive_arithmetic(relation):
+    plus, minus, den, shape = relation
+    vars = den.vars
+    dividend = naive_power_product(vars, plus) + naive_power_product(vars, minus)
+    if shape == "corrupt lead" and not dividend.is_zero():
+        # a leading coefficient that cannot divide the dividend's
+        lead = den.sorted_terms()[0][0]
+        den = LaurentPolynomial(vars, {**den.terms, lead: 2 * abs(dividend.sorted_terms()[0][1]) + 1})
+    if den.is_zero():
+        return
+    try:
+        expected = dividend.exact_div(den)
+    except NotDivisible:
+        assert shape not in ("divides both", "cancels", "zero dividend")
+        with pytest.raises(NotDivisible):
+            exchange_quotient(vars, plus, minus, den)
+        return
+    assert shape != "corrupt lead" or dividend.is_zero()
+    quo = exchange_quotient(vars, plus, minus, den)
+    assert list(quo.terms.items()) == list(expected.terms.items())
+    assert quo._sort_key() == LaurentPolynomial(vars, dict(quo.terms))._sort_key()
+    assert naive_product(quo, den) == dividend.terms
+    if shape == "zero dividend":
+        assert quo.is_zero()

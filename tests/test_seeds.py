@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,9 @@ from clustermut import (
     validate_and_symmetrize,
     y_pattern_tuple,
 )
-from clustermut.verify import check_pipeline_agreement
+from clustermut.laurent import PACK_MIN_TERMS
+from clustermut.seeds import GEOMETRIC
+from clustermut.verify import check_laurent, check_pipeline_agreement, random_tropical_seed
 
 
 # -- symmetrizer ---------------------------------------------------------------
@@ -345,3 +348,71 @@ def test_laurent_property_along_random_paths(rows, rng):
             path = tuple(rng.randint(1, n) for _ in range(8))
             seed = variant.mutate_path(path)  # NotDivisible would raise
             assert all(isinstance(p, LaurentPolynomial) for p in seed.cluster)
+
+
+# -- exchange relations in one packed pass ----------------------------------------------
+
+MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
+
+
+def reference_exchange(seed, k):
+    """x_k' the way Seed.mutate computed it before exchange_quotient: P+
+    and P- multiplied out with * and **, their sum divided by exact_div."""
+    if seed.mode == GEOMETRIC:
+        plus = minus = LaurentPolynomial.one(seed.vars)
+    else:
+        yk = seed.coeffs[k - 1]
+        u_inv = yk.oplus(seed.semifield.one()).inv()
+        plus, minus = seed._embed(yk * u_inv), seed._embed(u_inv)
+    for i, b in enumerate(seed.matrix.rows[k - 1]):
+        if b > 0:
+            plus = plus * seed.extended_value(i) ** b
+        elif b < 0:
+            minus = minus * seed.extended_value(i) ** -b
+    return (plus + minus).exact_div(seed.cluster[k - 1])
+
+
+def packs(seed, k):
+    """Whether the relation of seed in direction k takes the packed pass."""
+    row = seed.matrix.rows[k - 1]
+    terms = [len(seed.cluster[k - 1].terms)] + [len(x.terms) for x, b in zip(seed.cluster, row) if b]
+    return max(terms) >= PACK_MIN_TERMS
+
+
+@pytest.mark.parametrize("rows, depth", [(MARKOV, 4), ([[0, 5], [-5, 0]], 4)], ids=["Markov", "wild"])
+@pytest.mark.parametrize("kind", ["principal", "tropical", "coefficient-free"])
+def test_mutate_matches_the_multiply_then_divide_route(rows, depth, kind):
+    matrix = ExchangeMatrix.from_rows(rows)
+    seed = {
+        "principal": principal_seed,
+        "tropical": lambda m: random_tropical_seed(m, 2, 0),
+        "coefficient-free": coefficient_free_seed,
+    }[kind](matrix)
+    routes = {True: 0, False: 0}
+    frontier = [(seed, None)]
+    for _ in range(depth):
+        step = []
+        for seed, last in frontier:
+            for k in range(1, matrix.n + 1):
+                if k == last:
+                    continue
+                got, want = seed.mutate(k).cluster[k - 1], reference_exchange(seed, k)
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert got._sort_key() == want._sort_key() and hash(got) == hash(want)
+                routes[packs(seed, k)] += 1
+                step.append((seed.mutate(k), k))
+        frontier = step
+    # relations above and below the cut-off both ran
+    assert routes[True] and routes[False], routes
+
+
+def test_check_laurent_refutes_an_inexact_divisor_on_the_packed_pass():
+    seed = principal_seed(ExchangeMatrix.from_rows(MARKOV)).mutate_path((1, 2, 3))
+    x = seed.cluster[2]
+    assert len(x.terms) >= PACK_MIN_TERMS and packs(seed, 3)
+    assert check_laurent(seed, 2).verdict == "confirmed"
+    (e, c), *_ = x.sorted_terms()[1:]
+    corrupt = LaurentPolynomial(seed.vars, {**x.terms, e: c + 1})
+    report = check_laurent(replace(seed, cluster=seed.cluster[:2] + (corrupt,)), 2)
+    assert report.verdict == "refuted"
+    assert "not divisible" in report.witness

@@ -59,6 +59,16 @@ def test_trivial_element_is_the_rank_0_tropical_element():
         assert result == rank0
 
 
+@pytest.mark.parametrize("other", ["rank 1", "rank 2", "subtraction-free"])
+def test_trivial_element_refuses_other_ranks_as_the_rank_0_tropical_element_does(other):
+    other = {"rank 1": TropicalElement((1,)), "rank 2": TropicalElement((0, 0)), "subtraction-free": sf_elem("y1")}[other]
+    for one in (TrivialElement(), TropicalElement(())):
+        with pytest.raises(ContextMismatch):
+            one * other
+        with pytest.raises(ContextMismatch):
+            one.oplus(other)
+
+
 def test_subtraction_free_oplus_is_fraction_addition():
     y1 = sf_elem("y1")
     assert sf_oplus(y1, sf_elem("1")) == sf_elem("y1 + 1")
