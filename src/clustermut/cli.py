@@ -53,9 +53,9 @@ EXIT_INTERNAL = 4
 
 ALL_CHECKS = ("cluster-seed", "adjacency", "coincide", "g-spec", "toric", "laurent")
 
-# Every packed product builds a weight per ambient variable that no budget
-# counts: `verify "0 1;-1 0" --check cluster-seed --depth 2` took 18 MiB at
-# rank 1,000 and 225 MiB at rank 10,000 (Python 3.11, 2-vCPU VM).
+# Exact division packs each monomial with a field per ambient variable, a
+# cost no budget counts: `verify "0 1;-1 0" --check cluster-seed --depth 2`
+# peaked at 18 MiB at rank 1,000 and 225 MiB at rank 10,000 (Python 3.11, 2-vCPU VM).
 MAX_TROPICAL_RANK = 1000
 
 
@@ -122,12 +122,19 @@ def build_seed(matrix: ExchangeMatrix, coeffs: str, rng_seed: int) -> Seed:
         with open(path) as fh:
             try:
                 obj = json.load(fh)
-                rank = int(obj["rank"])
-                tuples = [TropicalElement(t) for t in obj["coefficients"]]
+                rank, vectors = obj["rank"], obj["coefficients"]
             except KeyError as exc:
                 raise ParseError(f"coefficient file {path} has no key {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bad coefficient file {path}: {exc}") from exc
+        # JSON integers and lists only, as ExchangeMatrix.from_json takes them
+        for v in vectors if type(vectors) is list else [vectors]:
+            if type(v) is not list:
+                raise ParseError(f"bad coefficient file {path}: {json.dumps(v)} is not a list")
+        bad = [x for x in [rank, *(e for v in vectors for e in v)] if type(x) is not int]
+        if bad:
+            raise ParseError(f"bad coefficient file {path}: {json.dumps(bad[0])} is not an integer")
+        tuples = [TropicalElement(v) for v in vectors]
         _checked_rank(rank, path)
         if len(tuples) != matrix.n:
             raise ParseError(f"need {matrix.n} coefficient vectors")

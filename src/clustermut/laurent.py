@@ -10,32 +10,28 @@ The term order is graded lexicographic on exponent vectors (total degree
 first, then lex), fixed once per context.  It gives unique canonical forms
 and a deterministic exact-division algorithm.
 
-Products and exact division run on packed monomials (Monagan and Pearce,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007; Johnson, "Sparse polynomial arithmetic", SIGSAM Bull.
-1974).  An exponent vector, shifted to nonnegative entries, becomes one
-integer of fixed-width fields under a top field holding its total degree,
-so integer order is the graded-lex order and adding two packed monomials
-multiplies them.  The field width comes from the operands' exponent spans,
-and exact division refuses any quotient exponent outside the range the
-Newton polytopes allow, so no field ever wraps into its neighbour.
-Division keeps its remainder on a max-heap of packed monomials and pops
-each leading term instead of rescanning.  A product whose smaller operand
-has fewer than PACK_MIN_TERMS terms stays on exponent tuples, where packing
-would cost more than it saves.  ``terms`` is keyed by exponent tuples
-either way.  A square ``p * p`` on packed monomials forms each cross term
-a_i a_j (i < j) once and doubles it, so it takes about half the term
-products.  A product with the constant 1 returns the other operand itself,
-which is safe because values are immutable; powers, exchange products and
-fractions over the denominator 1 all multiply by 1.
+Exact division and exchange relations run on packed monomials (Monagan
+and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007; Johnson, "Sparse polynomial arithmetic",
+SIGSAM Bull. 1974).  An exponent vector, shifted to nonnegative entries,
+becomes one integer of fixed-width fields under a top field holding its
+total degree, so integer order is the graded-lex order and adding two
+packed monomials multiplies them.  The field width comes from the
+operands' exponent spans, and exact division refuses any quotient
+exponent outside the range the Newton polytopes allow, so no field ever
+wraps into its neighbour.  Division keeps its remainder on a max-heap of
+packed monomials and pops each leading term instead of rescanning.
+``*`` runs on exponent tuples; a product with the constant 1 returns the
+other operand itself, which is safe because values are immutable.
 
-``exchange_quotient`` solves an exchange relation x_k x_k' = P+ + P- in
+``exchange_quotient`` is the one entry point for an exchange relation
+x_k x_k' = P+ + P-, and it alone decides whether to pack: below
+PACK_MIN_TERMS it divides the sum of two ``product``s; otherwise it runs
 one packed pass: one field width for the whole relation, each factor
 packed once, powers by packed squaring, both products accumulated into
 the remainder map of the division, monomial factors as shifts, and only
 the quotient unpacked, with its sort key read off the division's
-descending order.  ``*``, ``exact_div`` and the relation share one
-packed product loop (and its square), and one heap division loop.
+descending order.
 """
 
 from __future__ import annotations
@@ -56,12 +52,13 @@ def grlex_key(exps: Exps) -> tuple[int, Exps]:
     return (sum(exps), exps)
 
 
-# A product runs on packed monomials only when both operands have at least
-# this many terms.  Packing costs time per input and output term and saves
-# time per term product, so it wins only where the products collapse onto
-# far fewer monomials, as they do when cluster variables multiply.  Measured
-# on the products of the bench workloads, the crossover lies at 9-10 terms;
-# a monomial times a long polynomial runs twice as slow packed.
+# An exchange relation packs only when x_k or a factor has at least this
+# many terms.  Packing costs time per input and output term and saves time
+# per term product, so it wins only where products collapse onto far fewer
+# monomials.  On the distinct relations of walks on A6, Markov and two wild
+# rank-2 matrices (Python 3.11), packing took 1.3-1.5 times as long where
+# every polynomial had at most 6 terms and exponent 1, as in A6; with
+# exponents 2 to 5 it took 0.6-0.8 at 5-7 terms and 0.3-0.6 from 11 terms.
 PACK_MIN_TERMS = 10
 
 
@@ -331,24 +328,13 @@ class LaurentPolynomial:
             return other
         if len(b) == 1 and other.is_one():
             return self
-        if min(len(a), len(b)) < PACK_MIN_TERMS:
-            terms: dict = {}
-            get = terms.get
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    e = tuple(map(add, ea, eb))
-                    terms[e] = get(e, 0) + ca * cb
-            return LaurentPolynomial(self.vars, terms)
-        (la, ha), (lb, hb) = _exponent_box(a), _exponent_box(b)
-        # no field of a product exceeds its shifted total degree, which is
-        # at most the sum of both operands' spans
-        width = (sum(ha) - sum(la) + sum(hb) - sum(lb)).bit_length()
-        pb = _pack(b, lb, width)
-        if self is other:
-            terms = _square_into({}, pb)
-        else:
-            terms = _mul_into({}, _pack(a, la, width), pb)
-        return LaurentPolynomial(self.vars, _unpack(terms, tuple(map(add, la, lb)), width))
+        terms: dict = {}
+        get = terms.get
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(map(add, ea, eb))
+                terms[e] = get(e, 0) + ca * cb
+        return LaurentPolynomial(self.vars, terms)
 
     def shift(self, exps: Sequence[int]) -> "LaurentPolynomial":
         """Multiply by the monomial with the given exponent vector."""
@@ -476,6 +462,18 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({render_poly(self)!r})"
 
 
+def product(vars: tuple[str, ...], factors: Sequence[tuple[LaurentPolynomial, int]]) -> LaurentPolynomial:
+    """prod p^e over (polynomial, exponent >= 0) pairs over ``vars``, left
+    to right with ``*`` and ``**``; 1 for the empty list.  The first factor
+    starts the product, and e == 1 takes no power."""
+    acc = None
+    for p, e in factors:
+        if e != 1:
+            p = p ** e
+        acc = p if acc is None else acc * p
+    return LaurentPolynomial.one(vars) if acc is None else acc
+
+
 def exchange_quotient(
     vars: tuple[str, ...],
     plus: Sequence[tuple[LaurentPolynomial, int]],
@@ -485,11 +483,13 @@ def exchange_quotient(
     """(prod p^e over plus + prod q^f over minus) / den for lists of
     (polynomial, exponent >= 0) pairs over ``vars``: the exchange relation
     x_k x_k' = P+ + P- solved for x_k'.  The quotient equals the sum of
-    the products divided by ``exact_div``, in its terms and their order,
-    and NotDivisible is raised exactly where that division raises it.
+    the two ``product``s divided by ``exact_div``, in its terms and their
+    order, and NotDivisible is raised exactly where that division raises
+    it.  That is how it is computed where den and every factor have fewer
+    than PACK_MIN_TERMS terms.
 
-    The whole relation runs on packed monomials of one field width, taken
-    from the hull of both products' exponent boxes (each the sum of its
+    Otherwise the relation runs on packed monomials of one field width, from
+    the hull of both products' exponent boxes (each the sum of its
     factors' boxes times their exponents).  The hull contains every
     factor power, partial product and remainder monomial, so no field
     wraps.  Each factor is packed once and its power formed by packed
@@ -497,13 +497,16 @@ def exchange_quotient(
     division, and only the quotient is unpacked.  Monomial factors are
     not multiplied: they shift and scale their side.
     """
-    for p, e in (*plus, *minus, (den, 1)):
+    pairs = (*plus, *minus, (den, 1))
+    for p, e in pairs:
         if p.vars != vars:
             raise ContextMismatch(f"contexts differ: {vars} vs {p.vars}")
         if e < 0:
             raise ValueError(f"negative exponent {e}")
     if den.is_zero():
         raise DivisionByZero("division by the zero polynomial")
+    if all(len(p.terms) < PACK_MIN_TERMS for p, _ in pairs):
+        return (product(vars, plus) + product(vars, minus)).exact_div(den)
     n = len(vars)
     # per nonzero side: its box, the scale of its monomial factors, and
     # its other factors as (terms, low corner, exponent)

@@ -28,7 +28,7 @@ from .errors import (
     NotSkewSymmetrizable,
     ParseError,
 )
-from .laurent import PACK_MIN_TERMS, LaurentFraction, LaurentPolynomial, ambient_vars, exchange_quotient
+from .laurent import LaurentFraction, LaurentPolynomial, ambient_vars, exchange_quotient, product
 from .semifield import (
     SubtractionFreeRational,
     SubtractionFreeSemifield,
@@ -422,39 +422,26 @@ class Seed:
         return Seed(self.matrix.mutate(k), cluster, self.mode, self.semifield, coeffs, self.vars)
 
     def _exchange(self, k: int) -> LaurentPolynomial:
-        """x_k' = (c+ P+ + c- P-) / x_k by exact division, in one packed
-        pass of exchange_quotient.  Where x_k and every x_i with b_ki != 0
-        have fewer than PACK_MIN_TERMS terms, packing costs more than it
-        saves, so P+ and P- are multiplied out and their sum divided."""
+        """x_k' = (c+ P+ + c- P-) / x_k by exchange_quotient, which alone
+        picks between multiplying out and one packed pass."""
         if self.mode == GEOMETRIC:
             plus = minus = LaurentPolynomial.one(self.vars)
         else:
             yk = self.coeffs[k - 1]
             u_inv = yk.oplus(self.semifield.one()).inv()
             plus, minus = self._embed(yk * u_inv), self._embed(u_inv)
-        den = self.cluster[k - 1]
-        row = self.matrix.rows[k - 1]
-        longest = max([len(den.terms)] + [len(x.terms) for x, b in zip(self.cluster, row) if b])
-        if longest < PACK_MIN_TERMS:
-            plus, minus = self._exchange_products(k, plus, minus)
-            return (plus + minus).exact_div(den)
+        return exchange_quotient(self.vars, *self._exchange_sides(k, plus, minus), self.cluster[k - 1])
+
+    def _exchange_sides(self, k: int, plus: LaurentPolynomial, minus: LaurentPolynomial) -> tuple[list, list]:
+        """The factor lists [(plus, 1), (x_i, b_ki) for b_ki > 0] and
+        [(minus, 1), (x_i, -b_ki) for b_ki < 0] over the extended cluster,
+        in the order of i: the two sides of the exchange relation in
+        direction k, and of yhat_k."""
         sides = ([(plus, 1)], [(minus, 1)])
-        for i, b in enumerate(row):
+        for i, b in enumerate(self.matrix.rows[k - 1]):
             if b:
                 sides[b < 0].append((self.extended_value(i), abs(b)))
-        return exchange_quotient(self.vars, *sides, den)
-
-    def _exchange_products(
-        self, k: int, plus: LaurentPolynomial, minus: LaurentPolynomial
-    ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-        """plus * prod x_i^b_ki over b_ki > 0 and minus * prod x_i^-b_ki
-        over b_ki < 0, the products over the extended cluster."""
-        for i, b in enumerate(self.matrix.rows[k - 1]):
-            if b > 0:
-                plus = plus * self.extended_value(i) ** b
-            elif b < 0:
-                minus = minus * self.extended_value(i) ** (-b)
-        return plus, minus
+        return sides
 
     def mutate_path(self, path: Sequence[int]) -> "Seed":
         seed = self
@@ -465,15 +452,17 @@ class Seed:
     # -- derived data ----------------------------------------------------------
 
     def yhat(self) -> tuple[LaurentFraction, ...]:
-        """yhat_j = y_j * prod_i x_i^{b_ji} as exact fractions: the exchange
-        products of direction j with y_j's numerator and denominator as the
-        coefficients; geometric seeds carry y_j in the stable columns, so
-        their explicit factor is 1."""
+        """yhat_j = y_j * prod_i x_i^{b_ji} as exact fractions: the two
+        sides of the exchange relation in direction j, with y_j's numerator
+        and denominator in place of the coefficients, multiplied out by
+        laurent.product.  Geometric seeds carry y_j in the stable columns,
+        so their explicit factor is 1."""
         one = LaurentFraction.from_polynomial(LaurentPolynomial.one(self.vars))
         out = []
         for j in range(self.n):
             y = one if self.mode == GEOMETRIC else self._embed_fraction(self.coeffs[j])
-            out.append(LaurentFraction(*self._exchange_products(j + 1, y.num, y.den)).normalized())
+            num, den = (product(self.vars, side) for side in self._exchange_sides(j + 1, y.num, y.den))
+            out.append(LaurentFraction(num, den).normalized())
         return tuple(out)
 
     def to_general(self) -> "Seed":

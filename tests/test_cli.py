@@ -288,6 +288,18 @@ def test_coefficient_vector_of_another_rank_is_usage_error(command, tmp_path, ca
         (["enumerate", A2_TEXT, "--coeffs", "file:{file}"], '{"rank": 1, "coefficients": [[1]]}',
          "need 2 coefficient vectors"),
         (["mutate", A2_TEXT, "1,x"], None, "bad mutation path '1,x'; expected comma-separated directions"),
+        (["enumerate", A2_TEXT, "--coeffs", "file:{file}"], '{"rank": 1.9, "coefficients": [[1], [0]]}',
+         "bad coefficient file {file}: 1.9 is not an integer"),
+        (["enumerate", A2_TEXT, "--coeffs", "file:{file}"], '{"rank": "2", "coefficients": [[1, 2], [0, 3]]}',
+         'bad coefficient file {file}: "2" is not an integer'),
+        (["enumerate", A2_TEXT, "--coeffs", "file:{file}"], '{"rank": 1, "coefficients": [[1.7], [0]]}',
+         "bad coefficient file {file}: 1.7 is not an integer"),
+        (["enumerate", A2_TEXT, "--coeffs", "file:{file}"], '{"rank": 1, "coefficients": [[1], [true]]}',
+         "bad coefficient file {file}: true is not an integer"),
+        (["enumerate", A2_TEXT, "--coeffs", "file:{file}"], '{"rank": 2, "coefficients": ["12", "03"]}',
+         'bad coefficient file {file}: "12" is not a list'),
+        (["enumerate", A2_TEXT, "--coeffs", "file:{file}"], '{"rank": 2, "coefficients": {"a": [1, 2]}}',
+         'bad coefficient file {file}: {{"a": [1, 2]}} is not a list'),
     ],
 )
 def test_bad_coefficients_and_paths_are_usage_errors(argv, file_text, message, tmp_path, capsys):
@@ -305,8 +317,9 @@ def test_bad_coefficients_and_paths_are_usage_errors(argv, file_text, message, t
 @pytest.mark.parametrize("rank, form", [(cli.MAX_TROPICAL_RANK + 1, "inline"), (10 ** 5, "inline"),
                                         (cli.MAX_TROPICAL_RANK + 1, "file")])
 def test_a_tropical_rank_above_the_bound_is_usage_error(rank, form, tmp_path, capsys):
-    # each ambient variable widens every packed product, uncounted by any
-    # budget: without the bound, rank 100,000 runs out of memory on A2
+    # each ambient variable widens every packed monomial of exact division,
+    # uncounted by any budget: without the bound, rank 100,000 runs out of
+    # memory on A2
     coeffs, source = f"tropical:{rank}", f"'tropical:{rank}'"
     if form == "file":
         source = tmp_path / "coeffs.json"

@@ -13,7 +13,7 @@ from clustermut import (
     lp_exact_div,
     parse_poly,
 )
-from clustermut.laurent import PACK_MIN_TERMS, exchange_quotient
+from clustermut.laurent import PACK_MIN_TERMS, exchange_quotient, product
 
 V2 = ambient_vars(2)
 V3 = ambient_vars(3)
@@ -248,7 +248,7 @@ EDGE_EXPS = [s * (2 ** k + d) for k in (0, 7, 8, 31, 32, 40) for d in (-1, 0) fo
 @st.composite
 def wide_polys(draw, vars=V3):
     """Mixed-sign exponents up to about 2^40 in size, coefficients above 2^64,
-    and either few terms or enough for the packed product path."""
+    and either few terms or enough for exchange_quotient's packed pass."""
     exps = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 40), 2 ** 40), st.sampled_from(EDGE_EXPS))
     coeffs = st.one_of(st.integers(-9, 9), st.integers(2 ** 64, 2 ** 80), st.integers(-(2 ** 80), -(2 ** 64)))
     n_terms = st.one_of(st.integers(1, 3), st.integers(PACK_MIN_TERMS, PACK_MIN_TERMS + 4))
@@ -288,7 +288,7 @@ def test_packed_kernel_matches_naive_arithmetic(a, b, bump, c):
 
 
 def test_squares_of_long_polynomials_round_trip():
-    # operands long enough for the packed product, with a repeated span
+    # operands of at least PACK_MIN_TERMS terms, with a repeated span
     p = parse_poly(V2, " + ".join(f"{k + 1}*x1^{k}*x2^{(3 * k) % 7 - 3}" for k in range(-6, 7)))
     sq = p * p
     assert sq.terms == naive_product(p, p)
@@ -300,14 +300,14 @@ def test_squares_of_long_polynomials_round_trip():
 @given(wide_polys())
 @settings(max_examples=150, deadline=None)
 def test_squares_match_naive_arithmetic_in_the_same_term_order(a):
-    # the square's triangle loop meets each key first where the full loop does
+    # a square forms its terms in the order of the naive double loop
     assert list((a * a).terms.items()) == list(naive_product(a, a).items())
 
 
 @st.composite
 def dense_polys(draw):
     """Up to PACK_MIN_TERMS + 4 terms on few monomials, so that powers
-    collapse and take the packed square path; coefficients above 2^64."""
+    collapse as packed relation factors do; coefficients above 2^64."""
     coeffs = st.one_of(st.integers(-9, 9), st.integers(2 ** 64, 2 ** 70), st.integers(-(2 ** 70), -(2 ** 64)))
     terms = {}
     for _ in range(draw(st.integers(0, PACK_MIN_TERMS + 4))):
@@ -340,6 +340,31 @@ def test_a_one_of_another_context_is_a_context_mismatch():
             p * one3
         with pytest.raises(ContextMismatch):
             one3 * p
+
+
+def test_the_product_of_no_factors_is_one():
+    assert product(V2, []) == LaurentPolynomial.one(V2)
+    assert product(V3, []).vars == V3
+
+
+def test_a_zero_factor_makes_the_product_zero():
+    factors = [(lp("x1 + x2"), 2), (LaurentPolynomial.zero(V2), 1), (lp("x1^-1 - 3"), 3)]
+    assert product(V2, factors).is_zero()
+
+
+def test_a_zeroth_power_contributes_one():
+    p, q = lp("x1 + x2"), lp("2*x1^-1 - x2")
+    assert product(V2, [(p, 0)]) == LaurentPolynomial.one(V2)
+    assert product(V2, [(p, 0), (q, 2), (p, 0)]) == q ** 2
+
+
+@given(st.lists(st.tuples(dense_polys(), st.integers(0, 3)), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_product_matches_star_and_power_in_the_same_order(factors):
+    expected = LaurentPolynomial.one(V2)
+    for p, e in factors:
+        expected = expected * p ** e
+    assert list(product(V2, factors).terms.items()) == list(expected.terms.items())
 
 
 # -- exchange relations in one packed pass -------------------------------------------
