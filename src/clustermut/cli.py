@@ -27,6 +27,7 @@ from .errors import (
     NotSkewSymmetrizable,
     ParseError,
     ZeroRowUnsupported,
+    require,
 )
 from .forms import compatible_form_space, mutate_form
 from .graph import (
@@ -128,12 +129,8 @@ def build_seed(matrix: ExchangeMatrix, coeffs: str, rng_seed: int) -> Seed:
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bad coefficient file {path}: {exc}") from exc
         # JSON integers and lists only, as ExchangeMatrix.from_json takes them
-        for v in vectors if type(vectors) is list else [vectors]:
-            if type(v) is not list:
-                raise ParseError(f"bad coefficient file {path}: {json.dumps(v)} is not a list")
-        bad = [x for x in [rank, *(e for v in vectors for e in v)] if type(x) is not int]
-        if bad:
-            raise ParseError(f"bad coefficient file {path}: {json.dumps(bad[0])} is not an integer")
+        require(list, vectors if type(vectors) is list else [vectors], f"bad coefficient file {path}")
+        require(int, [rank, *(e for v in vectors for e in v)], f"bad coefficient file {path}")
         tuples = [TropicalElement(v) for v in vectors]
         _checked_rank(rank, path)
         if len(tuples) != matrix.n:

@@ -1,8 +1,13 @@
-"""Exception types shared across the engine.
+"""Exception types shared across the engine, and the type check its input
+parsers share.
 
 Every failure mode is loud and typed; nothing is ever approximated or
 silently coerced.
 """
+
+import json
+
+_KINDS = {int: "an integer", bool: "a boolean", list: "a list"}
 
 
 class ClusterMutError(Exception):
@@ -63,3 +68,16 @@ class NotCompatible(ClusterMutError):
 
 class ParseError(ClusterMutError):
     """Malformed polynomial, matrix, or CLI input."""
+
+
+def require(kind: type, values, where: str) -> None:
+    """Raise ParseError naming, as JSON writes it, the first of values whose
+    type is not exactly kind (int, bool or list), so that 1.9, "2" and True
+    are no integers and 1 is no boolean: input is refused, never coerced."""
+    for x in values:
+        if type(x) is not kind:
+            try:
+                text = json.dumps(x)
+            except TypeError:
+                text = repr(x)
+            raise ParseError(f"{where}: {text} is not {_KINDS[kind]}")

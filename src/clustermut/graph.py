@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, ClusterMutError, ContextMismatch, ParseError
+from .errors import BudgetExceeded, ClusterMutError, ContextMismatch, ParseError, require
 from .laurent import LaurentPolynomial, parse_poly
-from .seeds import GEOMETRIC, ExchangeMatrix, Seed, TrivialSemifield, TropicalSemifield
+from .seeds import GEOMETRIC, ExchangeMatrix, Seed, TrivialSemifield, TropicalSemifield, validate_and_symmetrize
 from .semifield import parse_tropical
 
 DEFAULT_DEPTH = 8
@@ -132,18 +132,27 @@ class ExchangeGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "ExchangeGraph":
+        """Parse an export back.  Ranks, depths, neighbor indices and matrix
+        entries must be JSON integers and the flags JSON booleans (ParseError
+        otherwise), and each vertex matrix must be skew-symmetrizable
+        (NotSkewSymmetrizable otherwise)."""
         try:
             obj = json.loads(text)
             vars = tuple(obj["vars"])
             mode = obj["mode"]
             kind = obj["coefficients"]
-            rank = int(obj["rank"])
+            rank = obj["rank"]
+            require(int, [rank], "bad graph JSON")
+            require(bool, [obj["complete"]], "bad graph JSON")
             seeds = []
             depths, frontier, neighbors = [], [], []
             # each distinct text is parsed once, so equal variables are one object
             polys: dict[str, LaurentPolynomial] = {}
             for vtx in obj["vertices"]:
+                require(int, [vtx["depth"], *vtx["neighbors"].values()], "bad graph JSON")
+                require(bool, [vtx["frontier"]], "bad graph JSON")
                 matrix = ExchangeMatrix.from_rows(vtx["matrix"]["rows"], vtx["matrix"]["m"])
+                validate_and_symmetrize(matrix)
                 for s in vtx["cluster"]:
                     if s not in polys:
                         polys[s] = parse_poly(vars, s)
@@ -157,12 +166,12 @@ class ExchangeGraph:
                 else:
                     raise ParseError(f"cannot rebuild seeds over {kind!r} coefficients")
                 seeds.append(seed)
-                depths.append(int(vtx["depth"]))
-                frontier.append(bool(vtx["frontier"]))
-                neighbors.append({int(k): int(v) for k, v in vtx["neighbors"].items()})
+                depths.append(vtx["depth"])
+                frontier.append(vtx["frontier"])
+                neighbors.append({int(k): v for k, v in vtx["neighbors"].items()})
             keys = [s.key() for s in seeds]
-            return cls(seeds, keys, depths, frontier, neighbors, bool(obj["complete"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(seeds, keys, depths, frontier, neighbors, obj["complete"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad graph JSON: {exc}") from exc
 
     def to_dot(self) -> str:

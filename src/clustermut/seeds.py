@@ -7,7 +7,8 @@ A geometric seed carries an extended n x (n+m) matrix whose stable columns
 encode the coefficients; its ambient context is x1..x{n+m} (possibly with
 extra formal parameters appended).  A general seed carries an n x n matrix
 plus an explicit coefficient tuple over one of the concrete semifields; the
-semifield generators occupy ambient positions n..n+rank-1.
+semifield generators occupy ambient positions n..n+rank-1, so a tropical
+y_k's exponent vector extends row k as stable columns would.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     NondegenerateRequired,
     NotSkewSymmetrizable,
     ParseError,
+    require,
 )
 from .laurent import LaurentFraction, LaurentPolynomial, ambient_vars, exchange_quotient, product
 from .semifield import (
@@ -59,10 +61,13 @@ class ExchangeMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], m: int | None = None) -> "ExchangeMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        """m and the entries must be ints: a float or a boolean raises
+        ParseError rather than being truncated."""
+        rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         if m is None:
             m = (len(rows[0]) - n) if rows else 0
+        require(int, [m, *(x for r in rows for x in r)], "bad matrix")
         return cls(rows, n, m)
 
     def principal(self) -> "ExchangeMatrix":
@@ -130,11 +135,9 @@ class ExchangeMatrix:
             obj = json.loads(text)
             rows, m = obj["rows"], obj["m"]
             n = obj.get("n", len(rows))
-            bad = [x for x in [n, m, *(x for r in rows for x in r)] if type(x) is not int]
+            require(int, [n, m, *(x for r in rows for x in r)], "bad matrix JSON")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix JSON: {exc}") from exc
-        if bad:
-            raise ParseError(f"bad matrix JSON: {json.dumps(bad[0])} is not an integer")
         if n != len(rows):
             raise ParseError(f"bad matrix JSON: n is {n} but there are {len(rows)} rows")
         return cls.from_rows(rows, m)
@@ -341,6 +344,9 @@ class Seed:
             coeffs = tuple(semifield.one() for _ in range(matrix.n))
         if len(coeffs) != matrix.n:
             raise ContextMismatch(f"need {matrix.n} coefficients")
+        one = semifield.one()
+        for y in coeffs:
+            one._check(y)  # ContextMismatch for another semifield or rank
         cluster = tuple(LaurentPolynomial.variable(vars, i) for i in range(matrix.n))
         return cls(matrix, cluster, GENERAL, semifield, coeffs, vars)
 
@@ -360,38 +366,25 @@ class Seed:
             return self.cluster[i]
         return LaurentPolynomial.variable(self.vars, i)
 
-    def _embed(self, element: TropicalElement) -> LaurentPolynomial:
-        """Tropical element as a Laurent monomial over the ambient context
-        (generator j at position n + j - 1)."""
-        exps = (0,) * self.n + element.exps
-        exps += (0,) * (len(self.vars) - len(exps))
-        return LaurentPolynomial(self.vars, {exps: 1})
-
-    def _embed_fraction(self, element) -> LaurentFraction:
-        if isinstance(element, SubtractionFreeRational):
-            return LaurentFraction(
-                element.num.with_vars(self.vars), element.den.with_vars(self.vars)
-            )
-        return LaurentFraction.from_polynomial(self._embed(element))
-
     # -- mutation ------------------------------------------------------------
 
     def mutate(self, k: int, exchanges: dict | None = None) -> "Seed":
-        """Exchange relation x_k x_k' = c+ P+ + c- P-, with P+ and P- the
-        products of x_i^[b_ki]+ and x_i^[-b_ki]+ over the extended cluster.
+        """Exchange relation x_k x_k' = P+ + P-, with P+ and P- the products
+        of x_i^[b_ki]+ and x_i^[-b_ki]+ over the extended cluster and b_k
+        the extended row of _extended_row: a tropical y_k = g^e contributes
+        y_k / (y_k (+) 1) = g^[e]+ and 1 / (y_k (+) 1) = g^[-e]+ as the
+        stable columns of a geometric seed do.  General seeds also mutate
+        their y-tuple.
 
-        Geometric seeds keep their coefficients in the stable columns, so
-        c+ = c- = 1.  General seeds take c+ = y_k / (y_k (+) 1) and
-        c- = 1 / (y_k (+) 1) from the semifield and mutate the y-tuple.
-
-        exchanges, when given, memoizes the relations of one enumeration.
-        It maps the key of each relation met (x_k, y_k, the pairs (x_i,
-        b_ki) with b_ki != 0 over the mutable slots and the stable part of
-        row k, which is all the relation reads) to its x_k', and each x_k'
-        to itself, so that equal variables share one object.  A hit forms
-        no product and divides nothing; the caller seeds it with its roots'
-        clusters, as in {x: x for x in root.cluster}.  Seeds of different
-        ambient contexts may share one memo: their keys never compare equal.
+        exchanges memoizes the relations of one enumeration (a fresh dict
+        when None).  It maps the key of each relation met (x_k, the pairs
+        (x_i, b_ki) with b_ki != 0 over the mutable slots and the stable
+        part of the extended row, which is all the relation reads) to its
+        x_k', and each x_k' to itself, so that equal variables share one
+        object.  A hit forms no product and divides nothing; the caller
+        seeds it with its roots' clusters, as in {x: x for x in
+        root.cluster}.  Seeds of different ambient contexts may share one
+        memo: their keys never compare equal.
         """
         if not 1 <= k <= self.n:
             raise BadDirection(f"direction {k} outside [1, {self.n}]")
@@ -401,19 +394,13 @@ class Seed:
                 "supported; mutate the y-tuple with mutate_coefficients instead"
             )
         if exchanges is None:
+            exchanges = {}
+        row = self._extended_row(k)
+        key = (self.cluster[k - 1], tuple((x, b) for x, b in zip(self.cluster, row) if b), row[self.n :])
+        new_var = exchanges.get(key)
+        if new_var is None:
             new_var = self._exchange(k)
-        else:
-            row = self.matrix.rows[k - 1]
-            key = (
-                self.cluster[k - 1],
-                None if self.mode == GEOMETRIC else self.coeffs[k - 1],
-                tuple((x, b) for x, b in zip(self.cluster, row) if b),
-                row[self.n :],
-            )
-            new_var = exchanges.get(key)
-            if new_var is None:
-                new_var = self._exchange(k)
-                new_var = exchanges[key] = exchanges.setdefault(new_var, new_var)
+            new_var = exchanges[key] = exchanges.setdefault(new_var, new_var)
         cluster = self.cluster[: k - 1] + (new_var,) + self.cluster[k:]
         coeffs = self.coeffs
         # over Trop(), the rank-0 tropical semifield, every coefficient is 1
@@ -422,23 +409,26 @@ class Seed:
         return Seed(self.matrix.mutate(k), cluster, self.mode, self.semifield, coeffs, self.vars)
 
     def _exchange(self, k: int) -> LaurentPolynomial:
-        """x_k' = (c+ P+ + c- P-) / x_k by exchange_quotient, which alone
-        picks between multiplying out and one packed pass."""
-        if self.mode == GEOMETRIC:
-            plus = minus = LaurentPolynomial.one(self.vars)
-        else:
-            yk = self.coeffs[k - 1]
-            u_inv = yk.oplus(self.semifield.one()).inv()
-            plus, minus = self._embed(yk * u_inv), self._embed(u_inv)
-        return exchange_quotient(self.vars, *self._exchange_sides(k, plus, minus), self.cluster[k - 1])
+        """x_k' = (P+ + P-) / x_k by exchange_quotient, which alone picks
+        between multiplying out and one packed pass."""
+        return exchange_quotient(self.vars, *self._exchange_sides(k), self.cluster[k - 1])
 
-    def _exchange_sides(self, k: int, plus: LaurentPolynomial, minus: LaurentPolynomial) -> tuple[list, list]:
-        """The factor lists [(plus, 1), (x_i, b_ki) for b_ki > 0] and
-        [(minus, 1), (x_i, -b_ki) for b_ki < 0] over the extended cluster,
-        in the order of i: the two sides of the exchange relation in
-        direction k, and of yhat_k."""
-        sides = ([(plus, 1)], [(minus, 1)])
-        for i, b in enumerate(self.matrix.rows[k - 1]):
+    def _extended_row(self, k: int) -> tuple[int, ...]:
+        """Row k of the matrix; a general seed over a tropical semifield
+        appends y_k's exponent vector, where a geometric seed keeps its
+        stable columns (generator j sits at ambient position n + j - 1)."""
+        row = self.matrix.rows[k - 1]
+        if isinstance(self.semifield, TropicalSemifield):
+            row += self.coeffs[k - 1].exps
+        return row
+
+    def _exchange_sides(self, k: int) -> tuple[list, list]:
+        """The factor lists [(x_i, b_ki) for b_ki > 0] and [(x_i, -b_ki)
+        for b_ki < 0] over the extended cluster and the extended row, in
+        the order of i: the two sides of the exchange relation in direction
+        k, and of yhat_k."""
+        sides = ([], [])
+        for i, b in enumerate(self._extended_row(k)):
             if b:
                 sides[b < 0].append((self.extended_value(i), abs(b)))
         return sides
@@ -453,16 +443,17 @@ class Seed:
 
     def yhat(self) -> tuple[LaurentFraction, ...]:
         """yhat_j = y_j * prod_i x_i^{b_ji} as exact fractions: the two
-        sides of the exchange relation in direction j, with y_j's numerator
-        and denominator in place of the coefficients, multiplied out by
-        laurent.product.  Geometric seeds carry y_j in the stable columns,
-        so their explicit factor is 1."""
-        one = LaurentFraction.from_polynomial(LaurentPolynomial.one(self.vars))
+        sides of the exchange relation in direction j, multiplied out by
+        laurent.product, which carry a tropical y_j in the extended row.  A
+        subtraction-free y_j puts its numerator and denominator in front."""
         out = []
-        for j in range(self.n):
-            y = one if self.mode == GEOMETRIC else self._embed_fraction(self.coeffs[j])
-            num, den = (product(self.vars, side) for side in self._exchange_sides(j + 1, y.num, y.den))
-            out.append(LaurentFraction(num, den).normalized())
+        for j in range(1, self.n + 1):
+            plus, minus = self._exchange_sides(j)
+            if self.mode == GENERAL and self.semifield.kind == "subtraction-free":
+                y = self.coeffs[j - 1]
+                plus.insert(0, (y.num.with_vars(self.vars), 1))
+                minus.insert(0, (y.den.with_vars(self.vars), 1))
+            out.append(LaurentFraction(product(self.vars, plus), product(self.vars, minus)).normalized())
         return tuple(out)
 
     def to_general(self) -> "Seed":

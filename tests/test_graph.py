@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,8 @@ from clustermut import (
     ExchangeGraph,
     ExchangeMatrix,
     LaurentPolynomial,
+    NotSkewSymmetrizable,
+    ParseError,
     Seed,
     TrivialSemifield,
     TropicalElement,
@@ -309,6 +312,35 @@ def test_json_round_trip_tropical(a2, rng):
     seed = Seed.initial_general(a2, TropicalSemifield(2), random_tropical_tuple(2, 2, rng))
     g = enumerate_graph(seed, 10)
     assert ExchangeGraph.from_json(g.to_json()) == g
+
+
+def _tampered(graph, change):
+    obj = json.loads(graph.to_json())
+    change(obj)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("change, bad", [
+    (lambda o: o.update(rank=0.9), "0.9 is not an integer"),
+    (lambda o: o.update(complete="no"), '"no" is not a boolean'),
+    (lambda o: o["vertices"][0].update(depth="0"), '"0" is not an integer'),
+    (lambda o: o["vertices"][0].update(frontier="no"), '"no" is not a boolean'),
+    (lambda o: o["vertices"][0].update(frontier=1), "1 is not a boolean"),
+    (lambda o: o["vertices"][0].update(neighbors={"1": 1.0}), "1.0 is not an integer"),
+    (lambda o: o["vertices"][0]["matrix"]["rows"][0].__setitem__(1, 1.7), "1.7 is not an integer"),
+    (lambda o: o["vertices"][0].update(neighbors=[1]), "'list' object has no attribute 'values'"),
+], ids=["rank", "complete", "depth", "frontier", "frontier 1", "neighbor", "entry", "neighbor list"])
+def test_json_refuses_values_it_would_coerce(a2, change, bad):
+    g = enumerate_graph(coefficient_free_seed(a2), 10)
+    with pytest.raises(ParseError, match=f"^bad (graph JSON|matrix): {re.escape(bad)}$"):
+        ExchangeGraph.from_json(_tampered(g, change))
+
+
+def test_json_refuses_a_matrix_that_is_not_skew_symmetrizable(a2):
+    g = enumerate_graph(coefficient_free_seed(a2), 10)
+    text = _tampered(g, lambda o: o["vertices"][1]["matrix"].update(rows=[[0, 1], [1, 0]]))
+    with pytest.raises(NotSkewSymmetrizable):
+        ExchangeGraph.from_json(text)
 
 
 def test_dot_export_shape(a2):

@@ -447,3 +447,46 @@ def test_exchange_quotient_matches_naive_arithmetic(relation):
     assert naive_product(quo, den) == dividend.terms
     if shape == "zero dividend":
         assert quo.is_zero()
+
+
+# -- negative powers and exchange_quotient's edges ------------------------------------
+
+
+def test_negative_powers_invert_unit_monomials_only():
+    assert lp("-x1^2*x2^-1") ** -3 == lp("-x1^-6*x2^3")
+    assert lp("-x1") ** -2 == lp("x1^-2")
+    with pytest.raises(NotDivisible):
+        lp("2*x1") ** -1
+    with pytest.raises(DivisionByZero):
+        lp("x1 + 1") ** -1
+
+
+@pytest.mark.parametrize("size", [2, PACK_MIN_TERMS], ids=["multiplied out", "packed"])
+def test_an_empty_side_of_an_exchange_relation_is_one(size):
+    # a source or sink relation has one side without factors
+    p = LaurentPolynomial(V2, {(i, 1): i + 1 for i in range(size)})
+    den = lp("x1*x2^-1")
+    for plus, minus in (([(p, 2)], []), ([], [(p, 2)])):
+        got = exchange_quotient(V2, plus, minus, den)
+        want = (product(V2, plus) + product(V2, minus)).exact_div(den)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got * den == p ** 2 + LaurentPolynomial.one(V2)
+
+
+@pytest.mark.parametrize("size", [2, PACK_MIN_TERMS], ids=["multiplied out", "packed"])
+def test_exchange_quotient_of_two_zero_sides_is_zero(size):
+    p = LaurentPolynomial(V2, {(i, 1): i + 1 for i in range(size)})
+    zero = LaurentPolynomial.zero(V2)
+    assert exchange_quotient(V2, [(p, 1), (zero, 1)], [(zero, 2), (p, 3)], p).is_zero()
+
+
+def test_exchange_quotient_refuses_bad_operands():
+    x1, x2 = var(0), var(1)
+    with pytest.raises(ContextMismatch):
+        exchange_quotient(V2, [(var(0, V3), 1)], [], x1)
+    with pytest.raises(ContextMismatch):
+        exchange_quotient(V2, [(x1, 1)], [], var(1, V3))
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        exchange_quotient(V2, [(x1, 1)], [(x2, -1)], x1)
+    with pytest.raises(DivisionByZero):
+        exchange_quotient(V2, [(x1, 1)], [], LaurentPolynomial.zero(V2))

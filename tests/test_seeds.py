@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -11,8 +12,10 @@ from clustermut import (
     LaurentPolynomial,
     NondegenerateRequired,
     NotSkewSymmetrizable,
+    ParseError,
     Seed,
     SubtractionFreeSemifield,
+    TrivialSemifield,
     TropicalElement,
     TropicalSemifield,
     coefficient_free_seed,
@@ -33,6 +36,20 @@ from clustermut import (
 from clustermut.laurent import PACK_MIN_TERMS
 from clustermut.seeds import GEOMETRIC
 from clustermut.verify import check_laurent, check_pipeline_agreement, random_tropical_seed
+
+
+# -- matrix input ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows, m, bad", [
+    ([[0, 1.9], [-1.9, 0]], None, "1.9"),
+    ([[0, True], [-1, 0]], None, "true"),
+    ([[0, 1, 1], [-1, 0, 1]], 1.0, "1.0"),
+    ([[0, "1"], [-1, 0]], 0, '"1"'),
+], ids=["float", "boolean", "float m", "string"])
+def test_from_rows_refuses_what_is_not_an_integer(rows, m, bad):
+    with pytest.raises(ParseError, match=f"^bad matrix: {re.escape(bad)} is not an integer$"):
+        ExchangeMatrix.from_rows(rows, m)
 
 
 # -- symmetrizer ---------------------------------------------------------------
@@ -208,6 +225,25 @@ def test_general_mode_rejects_sf_cluster_mutation(a2):
         seed.mutate(1)
 
 
+@pytest.mark.parametrize("semifield, coeffs", [
+    (TropicalSemifield(2), (TropicalElement((1,)), TropicalElement((0, -1)))),
+    (TropicalSemifield(1), (TropicalElement((1,)), TropicalElement((0, -1)))),
+    (TrivialSemifield(), (TropicalElement(()), TropicalElement((1,)))),
+], ids=["rank 1 in rank 2", "rank 2 in rank 1", "rank 1 in Trop()"])
+def test_general_seeds_refuse_tropical_coefficients_of_another_rank(a2, semifield, coeffs):
+    with pytest.raises(ContextMismatch, match="tropical rank mismatch"):
+        Seed.initial_general(a2, semifield, coeffs)
+
+
+def test_general_seeds_refuse_coefficients_of_another_semifield(a2):
+    with pytest.raises(ContextMismatch):
+        Seed.initial_general(a2, SubtractionFreeSemifield(2), (TropicalElement((1, 0)),) * 2)
+    with pytest.raises(ContextMismatch):
+        Seed.initial_general(a2, TropicalSemifield(2), SubtractionFreeSemifield(2).identity_tuple())
+    with pytest.raises(ContextMismatch):  # y1, y2 over y1..y3
+        Seed.initial_general(a2, SubtractionFreeSemifield(2), SubtractionFreeSemifield(3).identity_tuple()[:2])
+
+
 # -- seed mutation, geometric mode ---------------------------------------------------
 
 
@@ -241,6 +277,24 @@ def test_pipelines_agree_on_random_geometric_seeds(data):
     path = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 2)))
     k = rng.randint(1, n)
     assert check_pipeline_agreement(matrix, path, k).verdict == "confirmed"
+
+
+@pytest.mark.parametrize("field, witness", [
+    ("cluster", "clusters differ"),
+    ("coeffs", "coefficient tuples differ"),
+    ("matrix", "principal matrices differ"),
+])
+def test_pipeline_agreement_refutes_a_general_step_that_disagrees(field, witness, monkeypatch):
+    # the general step keeps one field of the seed it started from
+    real = Seed.mutate
+
+    def stale(self, k, exchanges=None):
+        out = real(self, k, exchanges)
+        return out if self.mode == GEOMETRIC else replace(out, **{field: getattr(self, field)})
+
+    monkeypatch.setattr(Seed, "mutate", stale)
+    report = check_pipeline_agreement(ExchangeMatrix.from_rows([[0, 1, 1], [-1, 0, 1]], 1), (), 1)
+    assert (report.verdict, report.witness) == ("refuted", f"{witness} in direction 1")
 
 
 # -- principal extension / coefficients ------------------------------------------------
@@ -357,13 +411,18 @@ MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
 
 def reference_exchange(seed, k):
     """x_k' the way Seed.mutate computed it before exchange_quotient: P+
-    and P- multiplied out with * and **, their sum divided by exact_div."""
+    and P- multiplied out with * and **, their sum divided by exact_div.
+    A general seed's c+ = y_k / (y_k (+) 1) and c- = 1 / (y_k (+) 1) come
+    from the semifield, as monomials in generator j at position n + j - 1."""
     if seed.mode == GEOMETRIC:
         plus = minus = LaurentPolynomial.one(seed.vars)
     else:
+        def embed(y):
+            return LaurentPolynomial(seed.vars, {(0,) * seed.n + y.exps: 1})
+
         yk = seed.coeffs[k - 1]
         u_inv = yk.oplus(seed.semifield.one()).inv()
-        plus, minus = seed._embed(yk * u_inv), seed._embed(u_inv)
+        plus, minus = embed(yk * u_inv), embed(u_inv)
     for i, b in enumerate(seed.matrix.rows[k - 1]):
         if b > 0:
             plus = plus * seed.extended_value(i) ** b

@@ -1,10 +1,10 @@
 """Byte-identity oracle for y-hat.
 
-``oracle_yhat`` is the earlier ``Seed.yhat`` kept verbatim: it folds
-yhat_j = y_j * prod_i x_i^{b_ji} as a chain of content-stripped fraction
-products.  ``Seed.yhat`` now builds the two sides of the product the way
-the exchange relation does and normalizes once; every rendered value must
-be the same text.
+``oracle_yhat`` is an earlier ``Seed.yhat``: it folds yhat_j = y_j *
+prod_i x_i^{b_ji} as a chain of content-stripped fraction products, with
+y_j embedded as a fraction of its own.  ``Seed.yhat`` builds the two sides
+of the product the way the exchange relation does, a tropical y_j among
+them, and normalizes once; every rendered value must be the same text.
 """
 
 import random
@@ -29,8 +29,13 @@ def oracle_yhat(seed: Seed) -> tuple[LaurentFraction, ...]:
     for j in range(seed.n):
         if seed.mode == GEOMETRIC:
             acc = LaurentFraction.from_polynomial(LaurentPolynomial.one(seed.vars))
+        elif isinstance(seed.coeffs[j], SubtractionFreeRational):
+            y = seed.coeffs[j]
+            acc = LaurentFraction(y.num.with_vars(seed.vars), y.den.with_vars(seed.vars))
         else:
-            acc = seed._embed_fraction(seed.coeffs[j])
+            # tropical generator i at ambient position n + i - 1
+            exps = (0,) * seed.n + seed.coeffs[j].exps
+            acc = LaurentFraction.from_polynomial(LaurentPolynomial(seed.vars, {exps: 1}))
         for i, b in enumerate(seed.matrix.rows[j]):
             if b:
                 acc = acc * LaurentFraction.from_polynomial(seed.extended_value(i)).pow(b)
