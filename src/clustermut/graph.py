@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceeded, ClusterMutError, ContextMismatch, ParseError, require
 from .laurent import LaurentPolynomial, parse_poly
 from .seeds import GEOMETRIC, ExchangeMatrix, Seed, TrivialSemifield, TropicalSemifield, validate_and_symmetrize
-from .semifield import parse_tropical
+from .semifield import TropicalElement, parse_tropical
 
 DEFAULT_DEPTH = 8
 DEFAULT_MAX_VERTICES = 10 ** 6
@@ -133,26 +133,35 @@ class ExchangeGraph:
     @classmethod
     def from_json(cls, text: str) -> "ExchangeGraph":
         """Parse an export back.  Ranks, depths, neighbor indices and matrix
-        entries must be JSON integers and the flags JSON booleans (ParseError
-        otherwise), and each vertex matrix must be skew-symmetrizable
-        (NotSkewSymmetrizable otherwise)."""
+        entries must be JSON integers and the flags JSON booleans, and each
+        vertex must hold n cluster texts (and n coefficient texts over a
+        semifield) for its matrix of the graph's n rows and neighbors in
+        directions 1..n among the vertices listed (ParseError naming the
+        vertex otherwise).  Each vertex matrix must be skew-symmetrizable
+        (NotSkewSymmetrizable otherwise); it is checked without entering
+        the process-wide cache of validate_and_symmetrize."""
         try:
             obj = json.loads(text)
             vars = tuple(obj["vars"])
             mode = obj["mode"]
             kind = obj["coefficients"]
             rank = obj["rank"]
-            require(int, [rank], "bad graph JSON")
+            require(int, [rank, obj["n"]], "bad graph JSON")
             require(bool, [obj["complete"]], "bad graph JSON")
+            count = len(obj["vertices"])
             seeds = []
             depths, frontier, neighbors = [], [], []
-            # each distinct text is parsed once, so equal variables are one object
+            # each distinct text is parsed once, so equal values are one object
             polys: dict[str, LaurentPolynomial] = {}
-            for vtx in obj["vertices"]:
-                require(int, [vtx["depth"], *vtx["neighbors"].values()], "bad graph JSON")
+            ys: dict[str, TropicalElement] = {}
+            for v, vtx in enumerate(obj["vertices"]):
+                require(int, [vtx["depth"], vtx["matrix"]["n"], *vtx["neighbors"].values()], "bad graph JSON")
                 require(bool, [vtx["frontier"]], "bad graph JSON")
                 matrix = ExchangeMatrix.from_rows(vtx["matrix"]["rows"], vtx["matrix"]["m"])
-                validate_and_symmetrize(matrix)
+                why = _shape_error(vtx, matrix.n, obj["n"], count)
+                if why:
+                    raise ParseError(f"bad graph JSON: vertex {v}: {why}")
+                validate_and_symmetrize.__wrapped__(matrix)
                 for s in vtx["cluster"]:
                     if s not in polys:
                         polys[s] = parse_poly(vars, s)
@@ -161,14 +170,16 @@ class ExchangeGraph:
                     seed = Seed(matrix, cluster, GEOMETRIC, None, None, vars)
                 elif kind in ("trivial", "tropical"):
                     sf = TrivialSemifield() if kind == "trivial" else TropicalSemifield(rank)
-                    coeffs = tuple(parse_tropical(sf.rank, s) for s in vtx["coeffs"])
-                    seed = Seed(matrix, cluster, "general", sf, coeffs, vars)
+                    for s in vtx["coeffs"]:
+                        if s not in ys:
+                            ys[s] = parse_tropical(sf.rank, s)
+                    seed = Seed(matrix, cluster, "general", sf, tuple(ys[s] for s in vtx["coeffs"]), vars)
                 else:
                     raise ParseError(f"cannot rebuild seeds over {kind!r} coefficients")
                 seeds.append(seed)
                 depths.append(vtx["depth"])
                 frontier.append(vtx["frontier"])
-                neighbors.append({int(k): v for k, v in vtx["neighbors"].items()})
+                neighbors.append({int(k): u for k, u in vtx["neighbors"].items()})
             keys = [s.key() for s in seeds]
             return cls(seeds, keys, depths, frontier, neighbors, obj["complete"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -193,6 +204,26 @@ class ExchangeGraph:
         if format == "json":
             return (self.to_json() + "\n").encode()
         raise ParseError(f"unknown export format {format!r}")
+
+
+def _shape_error(vtx: dict, n: int, graph_n: int, count: int) -> str | None:
+    """Why vertex vtx of a parsed export, whose matrix has n rows, does not
+    fit that matrix or a graph of count vertices whose matrices have graph_n
+    rows; None if it does.  Directions must be written as JSON writes 1..n."""
+    if vtx["matrix"]["n"] != n:
+        return f"n is {vtx['matrix']['n']} but there are {n} rows"
+    if n != graph_n:
+        return f"{n} rows in a graph of n = {graph_n}"
+    for name, texts in (("cluster", vtx["cluster"]), ("coefficient", vtx["coeffs"])):
+        if texts is not None and len(texts) != n:
+            return f"{len(texts)} {name} texts for n = {n}"
+    directions = {str(k) for k in range(1, n + 1)}
+    for k, u in vtx["neighbors"].items():
+        if k not in directions:
+            return f"direction {json.dumps(k)} outside [1, {n}]"
+        if not 0 <= u < count:
+            return f"neighbor {u} outside [0, {count})"
+    return None
 
 
 def enumerate_graph(

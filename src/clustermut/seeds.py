@@ -190,10 +190,6 @@ def validate_and_symmetrize(matrix: ExchangeMatrix) -> Skewsymmetrizer:
                     comp.append(j)
                     queue.append(j)
         blocks.append(tuple(sorted(comp)))
-    for i in range(n):
-        for j in range(n):
-            if d[i] * b[i][j] != -d[j] * b[j][i]:
-                raise NotSkewSymmetrizable(f"no consistent symmetrizer at ({i + 1}, {j + 1})")
     ints = [0] * n
     for comp in blocks:
         lcm = math.lcm(*(d[i].denominator for i in comp))
@@ -201,6 +197,12 @@ def validate_and_symmetrize(matrix: ExchangeMatrix) -> Skewsymmetrizer:
         g = math.gcd(*vals)
         for i, v in zip(comp, vals):
             ints[i] = v // g
+    # each block is d scaled by one positive factor, and b_ij = 0 across
+    # blocks, so the integers fail first where the fractions would
+    for i in range(n):
+        for j in range(n):
+            if ints[i] * b[i][j] != -ints[j] * b[j][i]:
+                raise NotSkewSymmetrizable(f"no consistent symmetrizer at ({i + 1}, {j + 1})")
     return Skewsymmetrizer(tuple(ints), tuple(sorted(blocks)))
 
 

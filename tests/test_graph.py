@@ -27,6 +27,7 @@ from clustermut import (
     random_nondegenerate,
     random_skew_symmetrizable,
     reduced_paths,
+    validate_and_symmetrize,
 )
 from clustermut import graph as graph_module
 from clustermut.verify import random_tropical_seed, random_tropical_tuple
@@ -263,17 +264,23 @@ def test_json_round_trip(a2):
 def test_json_parses_each_variable_text_once(name, monkeypatch):
     rows = FINITE_TYPES["A4"][0] if name == "A4" else [[0, 1], [-3, 0]]
     g = enumerate_graph(coefficient_free_seed(ExchangeMatrix.from_rows(rows)), 20)
-    texts = []
-    real = graph_module.parse_poly
+    texts, coeff_texts = [], []
+    real, real_tropical = graph_module.parse_poly, graph_module.parse_tropical
 
     def counted(vars, text):
         texts.append(text)
         return real(vars, text)
 
+    def counted_tropical(rank, text):
+        coeff_texts.append(text)
+        return real_tropical(rank, text)
+
     monkeypatch.setattr(graph_module, "parse_poly", counted)
+    monkeypatch.setattr(graph_module, "parse_tropical", counted_tropical)
     again = ExchangeGraph.from_json(g.to_json())
     assert again == g and again.complete
     assert sorted(texts) == sorted({str(x) for s in g.seeds for x in s.cluster})
+    assert coeff_texts == ["1"]
     # equal variables are one object, as in the enumeration
     assert len({id(x) for s in again.seeds for x in s.cluster}) == len(texts)
 
@@ -329,11 +336,27 @@ def _tampered(graph, change):
     (lambda o: o["vertices"][0].update(neighbors={"1": 1.0}), "1.0 is not an integer"),
     (lambda o: o["vertices"][0]["matrix"]["rows"][0].__setitem__(1, 1.7), "1.7 is not an integer"),
     (lambda o: o["vertices"][0].update(neighbors=[1]), "'list' object has no attribute 'values'"),
-], ids=["rank", "complete", "depth", "frontier", "frontier 1", "neighbor", "entry", "neighbor list"])
+    (lambda o: o["vertices"][0]["cluster"].append("x1"), "vertex 0: 3 cluster texts for n = 2"),
+    (lambda o: o["vertices"][0]["coeffs"].append("1"), "vertex 0: 3 coefficient texts for n = 2"),
+    (lambda o: o["vertices"][0].update(neighbors={"7": 99}), 'vertex 0: direction "7" outside [1, 2]'),
+    (lambda o: o["vertices"][0].update(neighbors={" 1": 1}), 'vertex 0: direction " 1" outside [1, 2]'),
+    (lambda o: o["vertices"][0].update(neighbors={"1": 99}), "vertex 0: neighbor 99 outside [0, 5)"),
+    (lambda o: o["vertices"][0]["matrix"].update(n=3), "vertex 0: n is 3 but there are 2 rows"),
+    (lambda o: o.update(n=3), "vertex 0: 2 rows in a graph of n = 3"),
+], ids=["rank", "complete", "depth", "frontier", "frontier 1", "neighbor", "entry", "neighbor list",
+        "cluster length", "coefficient length", "direction", "direction text", "neighbor index", "matrix n",
+        "graph n"])
 def test_json_refuses_values_it_would_coerce(a2, change, bad):
     g = enumerate_graph(coefficient_free_seed(a2), 10)
     with pytest.raises(ParseError, match=f"^bad (graph JSON|matrix): {re.escape(bad)}$"):
         ExchangeGraph.from_json(_tampered(g, change))
+
+
+def test_json_import_leaves_the_symmetrizer_cache_alone(a3):
+    text = enumerate_graph(coefficient_free_seed(a3), 20).to_json()
+    validate_and_symmetrize.cache_clear()
+    ExchangeGraph.from_json(text)
+    assert validate_and_symmetrize.cache_info().currsize == 0
 
 
 def test_json_refuses_a_matrix_that_is_not_skew_symmetrizable(a2):

@@ -88,6 +88,10 @@ def test_symmetrizer_rejects_inconsistent_cycle():
     m = ExchangeMatrix.from_rows([[0, 1, -2], [-1, 0, 1], [1, -1, 0]])
     with pytest.raises(NotSkewSymmetrizable):
         validate_and_symmetrize(m)
+    # d_2 b_23 = -d_3 b_32 fails first: d = (1, 1, 1/2) off the edges at 1
+    m = ExchangeMatrix.from_rows([[0, 1, 1], [-1, 0, 1], [-2, -1, 0]])
+    with pytest.raises(NotSkewSymmetrizable, match=r"^no consistent symmetrizer at \(2, 3\)$"):
+        validate_and_symmetrize(m)
 
 
 # -- matrix mutation ---------------------------------------------------------------
