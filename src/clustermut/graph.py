@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .errors import BudgetExceeded, ClusterMutError, ContextMismatch, ParseError, require
 from .laurent import LaurentPolynomial, parse_poly
@@ -99,47 +100,59 @@ class ExchangeGraph:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
+        """The graph as json.dumps(..., indent=1, sort_keys=True) writes it,
+        byte for byte, but written from templates whose keys are already
+        sorted: any indent sends json.dumps through its pure-Python encoder.
+        Each distinct cluster variable is rendered once and each distinct
+        matrix row and coefficient tuple is laid out once."""
         seed0 = self.seeds[0]
-        if seed0.mode == GEOMETRIC:
-            coeff_kind = "geometric"
-        else:
-            coeff_kind = seed0.semifield.kind
-        obj = {
-            "mode": seed0.mode,
-            "coefficients": coeff_kind,
-            "rank": getattr(seed0.semifield, "rank", seed0.m),
-            "n": seed0.n,
-            "m": seed0.m,
-            "vars": list(seed0.vars),
-            "complete": self.complete,
-            "vertices": [
-                {
-                    "id": i,
-                    "depth": self.depths[i],
-                    "frontier": self.frontier[i],
-                    "cluster": list(cluster),
-                    "coeffs": None if s.coeffs is None else [str(y) for y in s.coeffs],
-                    "matrix": {"n": s.matrix.n, "m": s.matrix.m, "rows": [list(r) for r in s.matrix.rows]},
-                    "neighbors": {str(k): v for k, v in sorted(self.neighbors[i].items())},
-                }
-                for i, (s, cluster) in enumerate(zip(self.seeds, self.cluster_sets()))
-            ],
-            "edges": [
-                {"u": u, "v": v, "labels": list(ks)} for u, v, ks in self.edges()
-            ],
-        }
-        return json.dumps(obj, indent=1, sort_keys=True)
+        coeff_kind = "geometric" if seed0.mode == GEOMETRIC else seed0.semifield.kind
+        quote = encode_basestring_ascii
+        rows: dict[tuple[int, ...], str] = {}
+        coeffs: dict[tuple | None, str] = {None: "null"}
+        vertices = []
+        for i, (s, cluster) in enumerate(zip(self.seeds, self.cluster_sets())):
+            for r in s.matrix.rows:
+                if r not in rows:
+                    rows[r] = _json_block([str(x) for x in r], 6)
+            coeff_text = coeffs.get(s.coeffs)
+            if coeff_text is None:
+                coeff_text = coeffs[s.coeffs] = _json_block([quote(str(y)) for y in s.coeffs], 4)
+            # json.dumps sorts the direction keys as text: "10" before "2"
+            nbrs = sorted((str(k), v) for k, v in self.neighbors[i].items())
+            nbrs_text = _json_block([f"{quote(k)}: {v}" for k, v in nbrs], 4, "{}")
+            vertices.append(
+                f'{{\n   "cluster": {_json_block([quote(x) for x in cluster], 4)},\n'
+                f'   "coeffs": {coeff_text},\n   "depth": {self.depths[i]},\n'
+                f'   "frontier": {_JSON_BOOL[self.frontier[i]]},\n   "id": {i},\n'
+                f'   "matrix": {{\n    "m": {s.matrix.m},\n    "n": {s.matrix.n},\n'
+                f'    "rows": {_json_block([rows[r] for r in s.matrix.rows], 5)}\n   }},\n'
+                f'   "neighbors": {nbrs_text}\n  }}'
+            )
+        edges = [
+            f'{{\n   "labels": {_json_block([str(k) for k in ks], 4)},\n   "u": {u},\n   "v": {v}\n  }}'
+            for u, v, ks in self.edges()
+        ]
+        return (
+            f'{{\n "coefficients": {quote(coeff_kind)},\n "complete": {_JSON_BOOL[self.complete]},\n'
+            f' "edges": {_json_block(edges, 2)},\n "m": {seed0.m},\n'
+            f' "mode": {quote(seed0.mode)},\n "n": {seed0.n},\n'
+            f' "rank": {getattr(seed0.semifield, "rank", seed0.m)},\n'
+            f' "vars": {_json_block([quote(x) for x in seed0.vars], 2)},\n'
+            f' "vertices": {_json_block(vertices, 2)}\n}}'
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ExchangeGraph":
         """Parse an export back.  Ranks, depths, neighbor indices and matrix
         entries must be JSON integers and the flags JSON booleans, and each
-        vertex must hold n cluster texts (and n coefficient texts over a
-        semifield) for its matrix of the graph's n rows and neighbors in
-        directions 1..n among the vertices listed (ParseError naming the
-        vertex otherwise).  Each vertex matrix must be skew-symmetrizable
-        (NotSkewSymmetrizable otherwise); it is checked without entering
-        the process-wide cache of validate_and_symmetrize."""
+        vertex must hold n cluster texts of n distinct variables (and n
+        coefficient texts over a semifield) for its matrix of the graph's n
+        rows and neighbors in directions 1..n among the vertices listed
+        (ParseError naming the vertex otherwise).  Each vertex matrix must
+        be skew-symmetrizable (NotSkewSymmetrizable otherwise); it is
+        checked without entering the process-wide cache of
+        validate_and_symmetrize."""
         try:
             obj = json.loads(text)
             vars = tuple(obj["vars"])
@@ -166,6 +179,9 @@ class ExchangeGraph:
                     if s not in polys:
                         polys[s] = parse_poly(vars, s)
                 cluster = tuple(polys[s] for s in vtx["cluster"])
+                if len(set(cluster)) < len(cluster):
+                    twice = next(p for j, p in enumerate(cluster) if p in cluster[:j])
+                    raise ParseError(f"bad graph JSON: vertex {v}: cluster variable {twice} twice")
                 if mode == GEOMETRIC:
                     seed = Seed(matrix, cluster, GEOMETRIC, None, None, vars)
                 elif kind in ("trivial", "tropical"):
@@ -204,6 +220,19 @@ class ExchangeGraph:
         if format == "json":
             return (self.to_json() + "\n").encode()
         raise ParseError(f"unknown export format {format!r}")
+
+
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _json_block(items: list[str], indent: int, brackets: str = "[]") -> str:
+    """A list (or, with brackets "{}", an object) of JSON texts laid out as
+    json.dumps(..., indent=1) lays out one whose items sit indent spaces
+    deep; empty, it is [] (or {})."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * indent
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
 
 
 def _shape_error(vtx: dict, n: int, graph_n: int, count: int) -> str | None:

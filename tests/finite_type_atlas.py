@@ -20,9 +20,11 @@ budget given there.
 
 Each type runs in its linear orientation.  The script prints each type's
 time with every graph's mutations (one per edge computed) and exchange
-cache hits, the mutations whose relation the memo already held, then the
-total time and the peak resident memory.  It exits nonzero at the first
-type that fails, naming it and the answers that do not hold.
+cache hits, the mutations whose relation the memo already held, and for
+E6 and E7 the bytes and seconds of the coefficient-free graph's JSON
+export, made after the checks, then the total time and the peak resident
+memory.  It exits nonzero at the first type that fails, naming it and the
+answers that do not hold.
 """
 
 import contextlib
@@ -73,6 +75,10 @@ TYPES = {
 # Python 3.11.7), and its coefficient-free graph stores 13,646,140 terms,
 # above the default 10^7.
 SCOPE = {"E8": (("cluster-seed", "adjacency"), 2 * 10 ** 7)}
+
+# types whose coefficient-free graph is also exported as JSON after its
+# checks, to time the export; E8's would be about 100 MB
+EXPORTED = ("E6", "E7")
 
 
 @contextlib.contextmanager
@@ -133,7 +139,12 @@ def main(argv: list[str]) -> int:
             failed = failures(b, vertices, *SCOPE.get(name, (cli.ALL_CHECKS, DEFAULT_MAX_TERMS)))
         work = "; ".join(f"{g.stats['mutations']} mutations, {g.stats['exchange_cache_hits']} exchange cache hits"
                          for g in graphs)
-        print(f"{name}: {vertices} vertices, {time.perf_counter() - t0:.1f} s ({work})", flush=True)
+        line = f"{name}: {vertices} vertices, {time.perf_counter() - t0:.1f} s ({work})"
+        if name in EXPORTED:
+            t0 = time.perf_counter()
+            size = len(graphs[0].export("json"))
+            line += f", JSON export {size} bytes in {time.perf_counter() - t0:.2f} s"
+        print(line, flush=True)
         if failed:
             for label in failed:
                 print(f"failed: {name}: {label}", file=sys.stderr)

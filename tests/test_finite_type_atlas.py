@@ -14,7 +14,9 @@ import re
 import pytest
 
 import finite_type_atlas as atlas
-from clustermut import ExchangeMatrix, cli, coefficient_free_seed, compare_by_paths, enumerate_graph, principal_seed
+from clustermut import (
+    ExchangeGraph, ExchangeMatrix, cli, coefficient_free_seed, compare_by_paths, enumerate_graph, principal_seed,
+)
 from clustermut.graph import one_sided_gluings
 
 TYPES = [(name, b, vertices) for name, (b, vertices) in atlas.TYPES.items() if b.n <= 5]
@@ -34,6 +36,19 @@ def test_whole_finite_type_graphs_under_all_checks(name, matrix, vertices):
     rng = random.Random(name)
     for b in (matrix, reoriented(matrix, rng)):
         assert atlas.failures(b, vertices) == [], b.rows
+
+
+@pytest.mark.parametrize("name, matrix, vertices", TYPES + [("E6", *atlas.TYPES["E6"])],
+                         ids=[t[0] for t in TYPES] + ["E6"])
+def test_whole_graphs_round_trip_through_json(name, matrix, vertices):
+    rng = random.Random(name)
+    for b in (matrix, reoriented(matrix, rng)):
+        graph = enumerate_graph(coefficient_free_seed(b), 64)
+        assert (graph.vertex_count, graph.complete) == (vertices, True)
+        data = graph.export("json")
+        again = ExchangeGraph.from_json(data.decode())
+        assert again == graph
+        assert again.export("json") == data
 
 
 def test_a_count_off_by_one_fails_the_atlas_script(monkeypatch, capsys):

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from finite_type_atlas import dynkin
 from clustermut import (
     BudgetExceeded,
     ClusterMutError,
@@ -321,6 +322,53 @@ def test_json_round_trip_tropical(a2, rng):
     assert ExchangeGraph.from_json(g.to_json()) == g
 
 
+def _dict_export(graph):
+    """The object that to_json wrote through json.dumps(..., indent=1,
+    sort_keys=True) before it wrote from templates: the writer's oracle."""
+    seed0 = graph.seeds[0]
+    return {
+        "mode": seed0.mode,
+        "coefficients": "geometric" if seed0.mode == "geometric" else seed0.semifield.kind,
+        "rank": getattr(seed0.semifield, "rank", seed0.m),
+        "n": seed0.n,
+        "m": seed0.m,
+        "vars": list(seed0.vars),
+        "complete": graph.complete,
+        "vertices": [
+            {
+                "id": i,
+                "depth": graph.depths[i],
+                "frontier": graph.frontier[i],
+                "cluster": [str(x) for x in s.cluster],
+                "coeffs": None if s.coeffs is None else [str(y) for y in s.coeffs],
+                "matrix": {"n": s.matrix.n, "m": s.matrix.m, "rows": [list(r) for r in s.matrix.rows]},
+                "neighbors": {str(k): v for k, v in sorted(graph.neighbors[i].items())},
+            }
+            for i, s in enumerate(graph.seeds)
+        ],
+        "edges": [{"u": u, "v": v, "labels": list(ks)} for u, v, ks in graph.edges()],
+    }
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: enumerate_graph(coefficient_free_seed(dynkin(2)), 10),
+    lambda: enumerate_graph(coefficient_free_seed(dynkin(3)), 10),
+    lambda: enumerate_graph(principal_seed(dynkin(2, (2, 1, 3))), 12),
+    # a stable row that is not principal: m = 1
+    lambda: enumerate_graph(Seed.initial_geometric(ExchangeMatrix.from_rows([[0, 1, 2], [-1, 0, -1]])), 10),
+    # frontier vertices carry "neighbors": {}
+    lambda: enumerate_graph(random_tropical_seed(ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]), 2, 5),
+                            2),
+    # one vertex and "edges": []
+    lambda: enumerate_graph(coefficient_free_seed(dynkin(3)), 0),
+    # directions 10 and 11, whose keys sort before "2"
+    lambda: enumerate_graph(coefficient_free_seed(dynkin(11)), 1),
+], ids=["A2", "A3", "principal G2", "geometric m=1", "tropical Markov depth 2", "depth 0", "A11 depth 1"])
+def test_json_export_is_what_json_dumps_writes(graph):
+    g = graph()
+    assert g.to_json() == json.dumps(_dict_export(g), indent=1, sort_keys=True)
+
+
 def _tampered(graph, change):
     obj = json.loads(graph.to_json())
     change(obj)
@@ -343,9 +391,10 @@ def _tampered(graph, change):
     (lambda o: o["vertices"][0].update(neighbors={"1": 99}), "vertex 0: neighbor 99 outside [0, 5)"),
     (lambda o: o["vertices"][0]["matrix"].update(n=3), "vertex 0: n is 3 but there are 2 rows"),
     (lambda o: o.update(n=3), "vertex 0: 2 rows in a graph of n = 3"),
+    (lambda o: o["vertices"][0].update(cluster=["x1", "x1"]), "vertex 0: cluster variable x1 twice"),
 ], ids=["rank", "complete", "depth", "frontier", "frontier 1", "neighbor", "entry", "neighbor list",
         "cluster length", "coefficient length", "direction", "direction text", "neighbor index", "matrix n",
-        "graph n"])
+        "graph n", "duplicate variable"])
 def test_json_refuses_values_it_would_coerce(a2, change, bad):
     g = enumerate_graph(coefficient_free_seed(a2), 10)
     with pytest.raises(ParseError, match=f"^bad (graph JSON|matrix): {re.escape(bad)}$"):
