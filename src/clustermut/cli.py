@@ -168,15 +168,14 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_coeffs=True):
+    def add_common(p, formats):
         p.add_argument("matrix", help="matrix file, inline JSON, or whitespace rows")
-        if with_coeffs:
-            p.add_argument(
-                "--coeffs",
-                default="trivial",
-                help="trivial | principal | tropical:M | file:PATH (default: trivial)",
-            )
-        p.add_argument("--format", default="text", choices=["text", "json", "dot"])
+        p.add_argument(
+            "--coeffs",
+            default="trivial",
+            help="trivial | principal | tropical:M | file:PATH (default: trivial)",
+        )
+        p.add_argument("--format", default="text", choices=formats)
         p.add_argument("--depth", type=int, default=None, help="mutation depth limit")
         p.add_argument("--max-vertices", type=int, default=None)
         p.add_argument("--max-terms", type=int, default=None)
@@ -184,14 +183,14 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed for randomized coefficients")
 
     p_mutate = sub.add_parser("mutate", help="apply a mutation path and print the seed")
-    add_common(p_mutate)
+    add_common(p_mutate, ["text", "json"])
     p_mutate.add_argument("path", help="comma-separated 1-based directions, e.g. 1,2,1")
 
     p_enum = sub.add_parser("enumerate", help="enumerate the exchange graph")
-    add_common(p_enum)
+    add_common(p_enum, ["text", "json", "dot"])
 
     p_export = sub.add_parser("export", help="export the exchange graph")
-    add_common(p_export)
+    add_common(p_export, ["text", "json", "dot"])
     p_export.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
     p_forms = sub.add_parser("forms", help="compatible 2-form basis")
@@ -201,7 +200,7 @@ def make_parser() -> argparse.ArgumentParser:
                          help="also print the basis mutated in direction K")
 
     p_verify = sub.add_parser("verify", help="machine-check the structural theorems")
-    add_common(p_verify)
+    add_common(p_verify, ["text", "json"])
     p_verify.add_argument("--check", default="all", choices=("all",) + ALL_CHECKS)
     p_verify.add_argument("--timings", action="store_true", help="include wall-clock times")
     return parser

@@ -144,24 +144,29 @@ class ExchangeGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "ExchangeGraph":
-        """Parse an export back.  Ranks, depths, neighbor indices and matrix
-        entries must be JSON integers and the flags JSON booleans, and each
-        vertex must hold n cluster texts of n distinct variables (and n
-        coefficient texts over a semifield) for its matrix of the graph's n
-        rows and neighbors in directions 1..n among the vertices listed
-        (ParseError naming the vertex otherwise).  Each vertex matrix must
-        be skew-symmetrizable (NotSkewSymmetrizable otherwise); it is
-        checked without entering the process-wide cache of
-        validate_and_symmetrize."""
+        """Parse an export back: geometric seeds, or general ones over trivial
+        or tropical coefficients, and at least one vertex.  Ranks, depths,
+        neighbor indices and matrix entries must be JSON integers and the
+        flags JSON booleans, and each vertex must hold n cluster texts of n
+        distinct variables (and n coefficient texts over a semifield) for
+        its matrix of the graph's n and m and neighbors in directions 1..n
+        among the vertices listed, fewer than n exactly if it is frontier,
+        as no vertex of a complete graph is (ParseError naming the vertex
+        otherwise).  Each vertex matrix must be skew-symmetrizable
+        (NotSkewSymmetrizable otherwise); it is checked without entering the
+        process-wide cache of validate_and_symmetrize."""
         try:
             obj = json.loads(text)
             vars = tuple(obj["vars"])
             mode = obj["mode"]
             kind = obj["coefficients"]
             rank = obj["rank"]
-            require(int, [rank, obj["n"]], "bad graph JSON")
+            require(int, [rank, obj["n"], obj["m"]], "bad graph JSON")
             require(bool, [obj["complete"]], "bad graph JSON")
-            count = len(obj["vertices"])
+            if (mode, kind) not in (("geometric", "geometric"), ("general", "trivial"), ("general", "tropical")):
+                raise ParseError(f"bad graph JSON: cannot rebuild {mode!r} seeds over {kind!r} coefficients")
+            if not obj["vertices"]:
+                raise ParseError("bad graph JSON: no vertices")
             seeds = []
             depths, frontier, neighbors = [], [], []
             # each distinct text is parsed once, so equal values are one object
@@ -171,7 +176,7 @@ class ExchangeGraph:
                 require(int, [vtx["depth"], vtx["matrix"]["n"], *vtx["neighbors"].values()], "bad graph JSON")
                 require(bool, [vtx["frontier"]], "bad graph JSON")
                 matrix = ExchangeMatrix.from_rows(vtx["matrix"]["rows"], vtx["matrix"]["m"])
-                why = _shape_error(vtx, matrix.n, obj["n"], count)
+                why = _shape_error(vtx, matrix, obj)
                 if why:
                     raise ParseError(f"bad graph JSON: vertex {v}: {why}")
                 validate_and_symmetrize.__wrapped__(matrix)
@@ -184,14 +189,12 @@ class ExchangeGraph:
                     raise ParseError(f"bad graph JSON: vertex {v}: cluster variable {twice} twice")
                 if mode == GEOMETRIC:
                     seed = Seed(matrix, cluster, GEOMETRIC, None, None, vars)
-                elif kind in ("trivial", "tropical"):
+                else:
                     sf = TrivialSemifield() if kind == "trivial" else TropicalSemifield(rank)
                     for s in vtx["coeffs"]:
                         if s not in ys:
                             ys[s] = parse_tropical(sf.rank, s)
                     seed = Seed(matrix, cluster, "general", sf, tuple(ys[s] for s in vtx["coeffs"]), vars)
-                else:
-                    raise ParseError(f"cannot rebuild seeds over {kind!r} coefficients")
                 seeds.append(seed)
                 depths.append(vtx["depth"])
                 frontier.append(vtx["frontier"])
@@ -235,14 +238,17 @@ def _json_block(items: list[str], indent: int, brackets: str = "[]") -> str:
     return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
 
 
-def _shape_error(vtx: dict, n: int, graph_n: int, count: int) -> str | None:
-    """Why vertex vtx of a parsed export, whose matrix has n rows, does not
-    fit that matrix or a graph of count vertices whose matrices have graph_n
-    rows; None if it does.  Directions must be written as JSON writes 1..n."""
+def _shape_error(vtx: dict, matrix: ExchangeMatrix, graph: dict) -> str | None:
+    """Why vertex vtx of the parsed export graph does not fit its matrix
+    or the graph; None if it does.  Directions must be written as JSON
+    writes 1..n."""
+    n, count = matrix.n, len(graph["vertices"])
     if vtx["matrix"]["n"] != n:
         return f"n is {vtx['matrix']['n']} but there are {n} rows"
-    if n != graph_n:
-        return f"{n} rows in a graph of n = {graph_n}"
+    if n != graph["n"]:
+        return f"{n} rows in a graph of n = {graph['n']}"
+    if matrix.m != graph["m"]:
+        return f"m is {matrix.m} in a graph of m = {graph['m']}"
     for name, texts in (("cluster", vtx["cluster"]), ("coefficient", vtx["coeffs"])):
         if texts is not None and len(texts) != n:
             return f"{len(texts)} {name} texts for n = {n}"
@@ -252,6 +258,10 @@ def _shape_error(vtx: dict, n: int, graph_n: int, count: int) -> str | None:
             return f"direction {json.dumps(k)} outside [1, {n}]"
         if not 0 <= u < count:
             return f"neighbor {u} outside [0, {count})"
+    if vtx["frontier"] != (len(vtx["neighbors"]) < n):
+        return f"frontier is {_JSON_BOOL[vtx['frontier']]} with {len(vtx['neighbors'])} of {n} neighbors"
+    if vtx["frontier"] and graph["complete"]:
+        return "frontier vertex in a complete graph"
     return None
 
 

@@ -25,13 +25,12 @@ packed monomials and pops each leading term instead of rescanning.
 other operand itself, which is safe because values are immutable.
 
 ``exchange_quotient`` is the one entry point for an exchange relation
-x_k x_k' = P+ + P-, and it alone decides whether to pack: below
-PACK_MIN_TERMS it divides the sum of two ``product``s; otherwise it runs
-one packed pass: one field width for the whole relation, each factor
-packed once, powers by packed squaring, both products accumulated into
-the remainder map of the division, monomial factors as shifts, and only
-the quotient unpacked, with its sort key read off the division's
-descending order.
+x_k x_k' = P+ + P-, and every relation runs one packed pass: one field
+width for the whole relation, each factor packed once, powers by packed
+squaring, both products accumulated into the remainder map of the
+division, monomial factors as shifts, and only the quotient unpacked.
+Each quotient, of ``exact_div`` too, takes its sort key from the order in
+which the division produced its terms.
 """
 
 from __future__ import annotations
@@ -52,34 +51,26 @@ def grlex_key(exps: Exps) -> tuple[int, Exps]:
     return (sum(exps), exps)
 
 
-# An exchange relation packs only when x_k or a factor has at least this
-# many terms.  Packing costs time per input and output term and saves time
-# per term product, so it wins only where products collapse onto far fewer
-# monomials.  On the distinct relations of walks on A6, Markov and two wild
-# rank-2 matrices (Python 3.11), packing took 1.3-1.5 times as long where
-# every polynomial had at most 6 terms and exponent 1, as in A6; with
-# exponents 2 to 5 it took 0.6-0.8 at 5-7 terms and 0.3-0.6 from 11 terms.
-PACK_MIN_TERMS = 10
-
-
 def _exponent_box(terms: Mapping[Exps, int]) -> tuple[Exps, Exps]:
     """Componentwise minimum and maximum exponents of a nonempty term map."""
     cols = list(zip(*terms))
     return tuple(map(min, cols)), tuple(map(max, cols))
 
 
-def _pack(terms: Mapping[Exps, int], low: Exps, width: int) -> list[tuple[int, int]]:
-    """(packed monomial, coefficient) pairs.
-
-    The exponent vector less ``low`` is laid out in ``width``-bit fields,
-    first variable highest, under a top field holding its total degree, so
-    integer order is the graded-lex order and adding packed monomials
-    multiplies them.  The caller picks ``width`` so that no field of any
-    value it forms can overflow.
-    """
-    n = len(low)
+def _weights(n: int, width: int) -> list[int]:
+    """What a unit exponent of each of n variables adds to a packed
+    monomial: ``width``-bit fields, first variable highest, under a top
+    field holding the total degree, so integer order is the graded-lex
+    order and adding packed monomials multiplies them.  The caller picks
+    ``width`` so that no field of any value it forms can overflow."""
     top = 1 << (width * n)
-    weights = [(1 << (width * i)) + top for i in reversed(range(n))]
+    return [(1 << (width * i)) + top for i in reversed(range(n))]
+
+
+def _pack(terms: Mapping[Exps, int], low: Exps, weights: list[int]) -> list[tuple[int, int]]:
+    """(packed monomial, coefficient) pairs: each exponent vector less
+    ``low``, laid out by the ``_weights`` of one field width, which a
+    quotient computes once for all its packs."""
     base = sum(map(mul, low, weights))
     return [(sum(map(mul, e, weights)) - base, c) for e, c in terms.items()]
 
@@ -133,24 +124,26 @@ def _packed_power(pa: list[tuple[int, int]], e: int) -> list[tuple[int, int]]:
         pa = _nonzero(_square_into({}, pa))
 
 
-def _divide(rem: dict[int, int], low: Exps, high: Exps, width: int, den) -> dict[Exps, int]:
-    """The terms of the exact quotient of a dividend by ``den``, in
-    descending term order; NotDivisible unless the remainder ends at zero.
+def _divide(rem: dict[int, int], low: Exps, high: Exps, width: int, weights: list, den) -> LaurentPolynomial:
+    """The exact quotient of a dividend by ``den``, with its sort key read
+    off the order in which its terms were found, descending; NotDivisible
+    unless the remainder ends at zero.
 
     ``rem``, which is consumed, maps the dividend's packed monomials to
     their nonzero coefficients.  They are packed less ``low`` in fields of
-    ``width`` bits, and all lie in the box [low, high], whose shifted
-    total degree must leave the top bit of every field free.  The box may
-    be larger than the dividend's own: the Newton-polytope refusals of
-    ``exact_div`` stay proofs, only looser ones.
+    ``width`` bits, by ``weights``, and all lie in the box [low, high],
+    whose shifted total degree must leave the top bit of every field
+    free.  The box may be larger than the dividend's own: the
+    Newton-polytope refusals of ``exact_div`` stay proofs, only looser
+    ones.
     """
     md, hd = _exponent_box(den.terms)
     room = tuple((a - b) - (c - d) for a, b, c, d in zip(high, low, hd, md))
     if any(r < 0 for r in room):
         raise NotDivisible("leading monomial not divisible")
     guard = sum(1 << (width * i + width - 1) for i in range(len(room) + 1))
-    (limit, _), = _pack({room: 1}, (0,) * len(room), width)
-    den_p = sorted(_pack(den.terms, md, width), reverse=True)
+    limit = sum(map(mul, room, weights))
+    den_p = sorted(_pack(den.terms, md, weights), reverse=True)
     (den_lead, den_lc), den_rest = den_p[0], den_p[1:]
     heap = [-k for k in rem]
     heapq.heapify(heap)
@@ -179,8 +172,10 @@ def _divide(rem: dict[int, int], low: Exps, high: Exps, width: int, den) -> dict
                     rem[t] = c
                 else:
                     del rem[t]
-    # the quotient's terms came off the heap in descending order
-    return _unpack(quo, tuple(map(sub, low, md)), width)
+    # the quotient's terms came off the heap in descending order: no sort for its key
+    out = LaurentPolynomial(den.vars, _unpack(quo, tuple(map(sub, low, md)), width))
+    object.__setattr__(out, "_key", tuple((grlex_key(e), c) for e, c in out.terms.items()))
+    return out
 
 
 def ambient_vars(n: int, m: int = 0, extra: Sequence[str] = ()) -> tuple[str, ...]:
@@ -394,7 +389,8 @@ class LaurentPolynomial:
             return self
         mn, hn = _exponent_box(self.terms)
         width = (sum(hn) - sum(mn)).bit_length() + 1
-        return LaurentPolynomial(self.vars, _divide(dict(_pack(self.terms, mn, width)), mn, hn, width, den))
+        weights = _weights(len(mn), width)
+        return _divide(dict(_pack(self.terms, mn, weights)), mn, hn, width, weights, den)
 
     def derivative(self, index: int) -> "LaurentPolynomial":
         """Formal partial derivative with respect to the variable at
@@ -485,10 +481,9 @@ def exchange_quotient(
     x_k x_k' = P+ + P- solved for x_k'.  The quotient equals the sum of
     the two ``product``s divided by ``exact_div``, in its terms and their
     order, and NotDivisible is raised exactly where that division raises
-    it.  That is how it is computed where den and every factor have fewer
-    than PACK_MIN_TERMS terms.
+    it.
 
-    Otherwise the relation runs on packed monomials of one field width, from
+    The relation runs on packed monomials of one field width, from
     the hull of both products' exponent boxes (each the sum of its
     factors' boxes times their exponents).  The hull contains every
     factor power, partial product and remainder monomial, so no field
@@ -497,16 +492,13 @@ def exchange_quotient(
     division, and only the quotient is unpacked.  Monomial factors are
     not multiplied: they shift and scale their side.
     """
-    pairs = (*plus, *minus, (den, 1))
-    for p, e in pairs:
+    for p, e in (*plus, *minus, (den, 1)):
         if p.vars != vars:
             raise ContextMismatch(f"contexts differ: {vars} vs {p.vars}")
         if e < 0:
             raise ValueError(f"negative exponent {e}")
     if den.is_zero():
         raise DivisionByZero("division by the zero polynomial")
-    if all(len(p.terms) < PACK_MIN_TERMS for p, _ in pairs):
-        return (product(vars, plus) + product(vars, minus)).exact_div(den)
     n = len(vars)
     # per nonzero side: its box, the scale of its monomial factors, and
     # its other factors as (terms, low corner, exponent)
@@ -535,21 +527,18 @@ def exchange_quotient(
     low = tuple(map(min, zip(*(s[0] for s in sides))))
     high = tuple(map(max, zip(*(s[1] for s in sides))))
     width = (sum(high) - sum(low)).bit_length() + 1
-    zero = (0,) * n
+    weights = _weights(n, width)
     rem: dict[int, int] = {}
     for side_low, _, scale, polys in sides:
-        # the monomial part, shifted into the hull, starts the product
-        acc = _pack({tuple(map(sub, side_low, low)): scale}, zero, width)
-        powers = [_packed_power(_pack(terms, lo, width), e) for terms, lo, e in polys]
+        # the monomial part, at its place in the hull, starts the product
+        acc = _pack({side_low: scale}, low, weights)
+        powers = [_packed_power(_pack(terms, lo, weights), e) for terms, lo, e in polys]
         last = powers.pop() if powers else [(0, 1)]  # packed 1
         for p in powers:
             acc = _nonzero(_mul_into({}, acc, p))
         _mul_into(rem, acc, last)
     rem = {k: c for k, c in rem.items() if c}
-    quo = LaurentPolynomial(vars, _divide(rem, low, high, width, den) if rem else {})
-    # the quotient's terms are in descending order already: no sort for its key
-    object.__setattr__(quo, "_key", tuple((grlex_key(e), c) for e, c in quo.terms.items()))
-    return quo
+    return _divide(rem, low, high, width, weights, den) if rem else LaurentPolynomial.zero(vars)
 
 
 def render_monomial(vars: tuple[str, ...], exps: Exps) -> str:

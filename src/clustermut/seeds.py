@@ -411,8 +411,7 @@ class Seed:
         return Seed(self.matrix.mutate(k), cluster, self.mode, self.semifield, coeffs, self.vars)
 
     def _exchange(self, k: int) -> LaurentPolynomial:
-        """x_k' = (P+ + P-) / x_k by exchange_quotient, which alone picks
-        between multiplying out and one packed pass."""
+        """x_k' = (P+ + P-) / x_k in exchange_quotient's one packed pass."""
         return exchange_quotient(self.vars, *self._exchange_sides(k), self.cluster[k - 1])
 
     def _extended_row(self, k: int) -> tuple[int, ...]:

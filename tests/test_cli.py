@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clustermut import LaurentPolynomial, NotDivisible, cli, verify
+from clustermut import NotDivisible, Seed, cli, verify
 from clustermut.verify import VerificationReport
 
 A2_TEXT = "0 1\n-1 0"
@@ -336,15 +336,26 @@ def test_the_largest_tropical_rank_still_runs(capsys):
 
 
 def test_engine_error_exits_one_with_one_line(capsys, monkeypatch):
-    def failing(self, other):
+    def failing(self, k):
         raise NotDivisible("injected: leading monomial not divisible")
 
-    monkeypatch.setattr(LaurentPolynomial, "exact_div", failing)
+    monkeypatch.setattr(Seed, "_exchange", failing)
     code = cli.main(["verify", "0 1;-1 0", "--check", "cluster-seed"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_REFUTED == 1
     assert captured.out == ""
     assert captured.err == "error: injected: leading monomial not divisible\n"
+
+
+@pytest.mark.parametrize("argv", [["mutate", A2_TEXT, "1"], ["verify", A2_TEXT]], ids=["mutate", "verify"])
+def test_dot_format_is_refused_where_only_text_is_written(argv, capsys):
+    # argparse refuses the choice, so dot never prints text and exits 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", "dot"])
+    assert exc.value.code == cli.EXIT_USAGE == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'dot'" in captured.err
 
 
 @pytest.mark.parametrize("check", ["coincide", "g-spec", "toric"])
@@ -509,8 +520,10 @@ def _fuzzed_argv(draw):
     argv = [command, matrix]
     if command == "mutate":
         argv.append(",".join(str(k) for k in draw(st.lists(st.integers(0, 4), max_size=3))))
+    # only enumerate and export write dot
+    formats = ["text", "json", "dot"] if command in ("enumerate", "export") else ["text", "json"]
     argv += [
-        "--format", draw(st.sampled_from(["text", "json", "dot"])),
+        "--format", draw(st.sampled_from(formats)),
         "--coeffs", draw(st.sampled_from(
             ["trivial", "principal", "tropical:0", "tropical:1", "tropical:2",
              f"tropical:{cli.MAX_TROPICAL_RANK + 1}"]

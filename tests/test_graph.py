@@ -13,7 +13,6 @@ from clustermut import (
     DegenerateSeed,
     ExchangeGraph,
     ExchangeMatrix,
-    LaurentPolynomial,
     NotSkewSymmetrizable,
     ParseError,
     Seed,
@@ -392,9 +391,19 @@ def _tampered(graph, change):
     (lambda o: o["vertices"][0]["matrix"].update(n=3), "vertex 0: n is 3 but there are 2 rows"),
     (lambda o: o.update(n=3), "vertex 0: 2 rows in a graph of n = 3"),
     (lambda o: o["vertices"][0].update(cluster=["x1", "x1"]), "vertex 0: cluster variable x1 twice"),
+    (lambda o: o["vertices"][0].update(frontier=True), "vertex 0: frontier is true with 2 of 2 neighbors"),
+    (lambda o: o["vertices"][1].update(neighbors={"1": 0}), "vertex 1: frontier is false with 1 of 2 neighbors"),
+    (lambda o: o["vertices"][1].update(neighbors={"1": 0}, frontier=True),
+     "vertex 1: frontier vertex in a complete graph"),
+    (lambda o: o.update(vertices=[]), "no vertices"),
+    (lambda o: o["vertices"][0]["matrix"].update(m=1, rows=[[0, 1, 1], [-1, 0, 0]]),
+     "vertex 0: m is 1 in a graph of m = 0"),
+    (lambda o: o.update(mode="weird"), "cannot rebuild 'weird' seeds over 'trivial' coefficients"),
+    (lambda o: o.update(mode="geometric"), "cannot rebuild 'geometric' seeds over 'trivial' coefficients"),
 ], ids=["rank", "complete", "depth", "frontier", "frontier 1", "neighbor", "entry", "neighbor list",
         "cluster length", "coefficient length", "direction", "direction text", "neighbor index", "matrix n",
-        "graph n", "duplicate variable"])
+        "graph n", "duplicate variable", "frontier flag", "cut neighbors", "complete with frontier", "no vertices",
+        "vertex m", "mode", "mode against coefficients"])
 def test_json_refuses_values_it_would_coerce(a2, change, bad):
     g = enumerate_graph(coefficient_free_seed(a2), 10)
     with pytest.raises(ParseError, match=f"^bad (graph JSON|matrix): {re.escape(bad)}$"):
@@ -687,13 +696,13 @@ def test_memo_divides_once_per_distinct_relation(monkeypatch):
     # quadrilaterals of the 9-gon; coefficient-free, a relation is fixed by
     # the pair {x_k, x_k'} of variables it exchanges
     divisions = []
-    real = LaurentPolynomial.exact_div
+    real = Seed._exchange
 
-    def counted(self, other):
-        divisions.append(other)
-        return real(self, other)
+    def counted(self, k):
+        divisions.append(k)
+        return real(self, k)
 
-    monkeypatch.setattr(LaurentPolynomial, "exact_div", counted)
+    monkeypatch.setattr(Seed, "_exchange", counted)
     rows = [[0] * 6 for _ in range(6)]
     for i in range(5):
         rows[i][i + 1], rows[i + 1][i] = 1, -1

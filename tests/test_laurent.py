@@ -13,7 +13,7 @@ from clustermut import (
     lp_exact_div,
     parse_poly,
 )
-from clustermut.laurent import PACK_MIN_TERMS, exchange_quotient, product
+from clustermut.laurent import exchange_quotient, product
 
 V2 = ambient_vars(2)
 V3 = ambient_vars(3)
@@ -248,10 +248,10 @@ EDGE_EXPS = [s * (2 ** k + d) for k in (0, 7, 8, 31, 32, 40) for d in (-1, 0) fo
 @st.composite
 def wide_polys(draw, vars=V3):
     """Mixed-sign exponents up to about 2^40 in size, coefficients above 2^64,
-    and either few terms or enough for exchange_quotient's packed pass."""
+    and either 1 to 3 terms or 10 to 14."""
     exps = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 40), 2 ** 40), st.sampled_from(EDGE_EXPS))
     coeffs = st.one_of(st.integers(-9, 9), st.integers(2 ** 64, 2 ** 80), st.integers(-(2 ** 80), -(2 ** 64)))
-    n_terms = st.one_of(st.integers(1, 3), st.integers(PACK_MIN_TERMS, PACK_MIN_TERMS + 4))
+    n_terms = st.one_of(st.integers(1, 3), st.integers(10, 14))
     terms = {}
     for _ in range(draw(n_terms)):
         e = tuple(draw(exps) for _ in vars)
@@ -288,7 +288,7 @@ def test_packed_kernel_matches_naive_arithmetic(a, b, bump, c):
 
 
 def test_squares_of_long_polynomials_round_trip():
-    # operands of at least PACK_MIN_TERMS terms, with a repeated span
+    # operands of 13 terms, with a repeated span
     p = parse_poly(V2, " + ".join(f"{k + 1}*x1^{k}*x2^{(3 * k) % 7 - 3}" for k in range(-6, 7)))
     sq = p * p
     assert sq.terms == naive_product(p, p)
@@ -306,11 +306,11 @@ def test_squares_match_naive_arithmetic_in_the_same_term_order(a):
 
 @st.composite
 def dense_polys(draw):
-    """Up to PACK_MIN_TERMS + 4 terms on few monomials, so that powers
+    """Up to 14 terms on few monomials, so that powers
     collapse as packed relation factors do; coefficients above 2^64."""
     coeffs = st.one_of(st.integers(-9, 9), st.integers(2 ** 64, 2 ** 70), st.integers(-(2 ** 70), -(2 ** 64)))
     terms = {}
-    for _ in range(draw(st.integers(0, PACK_MIN_TERMS + 4))):
+    for _ in range(draw(st.integers(0, 14))):
         e = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
         terms[e] = terms.get(e, 0) + draw(coeffs)
     return LaurentPolynomial(V2, terms)
@@ -461,7 +461,8 @@ def test_negative_powers_invert_unit_monomials_only():
         lp("x1 + 1") ** -1
 
 
-@pytest.mark.parametrize("size", [2, PACK_MIN_TERMS], ids=["multiplied out", "packed"])
+# the ids are those of the two routes these sizes once took; both pack now
+@pytest.mark.parametrize("size", [2, 10], ids=["multiplied out", "packed"])
 def test_an_empty_side_of_an_exchange_relation_is_one(size):
     # a source or sink relation has one side without factors
     p = LaurentPolynomial(V2, {(i, 1): i + 1 for i in range(size)})
@@ -473,7 +474,7 @@ def test_an_empty_side_of_an_exchange_relation_is_one(size):
         assert got * den == p ** 2 + LaurentPolynomial.one(V2)
 
 
-@pytest.mark.parametrize("size", [2, PACK_MIN_TERMS], ids=["multiplied out", "packed"])
+@pytest.mark.parametrize("size", [2, 10], ids=["multiplied out", "packed"])
 def test_exchange_quotient_of_two_zero_sides_is_zero(size):
     p = LaurentPolynomial(V2, {(i, 1): i + 1 for i in range(size)})
     zero = LaurentPolynomial.zero(V2)

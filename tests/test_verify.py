@@ -865,15 +865,15 @@ def test_laurent_budget_is_inconclusive(markov):
 
 
 def test_laurent_refutes_an_injected_division_failure(a2, monkeypatch, capsys):
-    real = LaurentPolynomial.exact_div
+    real = Seed._exchange
 
-    def failing(self, other):
-        # from depth 2 on, an exchange binomial over a fraction has three terms
-        if len(self.terms) > 2:
+    def failing(self, k):
+        # from depth 2 on, a relation has a factor that is not a monomial
+        if not all(x.is_monomial() for x in self.cluster):
             raise NotDivisible("injected: leading monomial not divisible")
-        return real(self, other)
+        return real(self, k)
 
-    monkeypatch.setattr(LaurentPolynomial, "exact_div", failing)
+    monkeypatch.setattr(Seed, "_exchange", failing)
     report = check_laurent(coefficient_free_seed(a2), 1)
     assert report.verdict == "confirmed"
     report = check_laurent(coefficient_free_seed(a2), 2)
