@@ -151,10 +151,12 @@ class ExchangeGraph:
         distinct variables (and n coefficient texts over a semifield) for
         its matrix of the graph's n and m and neighbors in directions 1..n
         among the vertices listed, fewer than n exactly if it is frontier,
-        as no vertex of a complete graph is (ParseError naming the vertex
-        otherwise).  Each vertex matrix must be skew-symmetrizable
-        (NotSkewSymmetrizable otherwise); it is checked without entering the
-        process-wide cache of validate_and_symmetrize."""
+        as no vertex of a complete graph is, and a nonnegative depth.  Two
+        non-frontier vertices must have as many directions leading to each
+        other, and "edges" must be the list edges() gives (ParseError
+        naming the vertex otherwise).  Each vertex matrix must be
+        skew-symmetrizable (NotSkewSymmetrizable otherwise); it is checked
+        without entering the process-wide cache of validate_and_symmetrize."""
         try:
             obj = json.loads(text)
             vars = tuple(obj["vars"])
@@ -199,8 +201,15 @@ class ExchangeGraph:
                 depths.append(vtx["depth"])
                 frontier.append(vtx["frontier"])
                 neighbors.append({int(k): u for k, u in vtx["neighbors"].items()})
-            keys = [s.key() for s in seeds]
-            return cls(seeds, keys, depths, frontier, neighbors, obj["complete"])
+            graph = cls(seeds, [s.key() for s in seeds], depths, frontier, neighbors, obj["complete"])
+            listed = []
+            for e in obj["edges"]:
+                require(int, [e["u"], e["v"], *e["labels"]], "bad graph JSON")
+                listed.append((e["u"], e["v"], tuple(e["labels"])))
+            why = _return_error(neighbors, frontier) or _edges_error(listed, graph.edges())
+            if why:
+                raise ParseError(f"bad graph JSON: {why}")
+            return graph
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad graph JSON: {exc}") from exc
 
@@ -258,11 +267,49 @@ def _shape_error(vtx: dict, matrix: ExchangeMatrix, graph: dict) -> str | None:
             return f"direction {json.dumps(k)} outside [1, {n}]"
         if not 0 <= u < count:
             return f"neighbor {u} outside [0, {count})"
+    if vtx["depth"] < 0:
+        return f"depth {vtx['depth']} is negative"
     if vtx["frontier"] != (len(vtx["neighbors"]) < n):
         return f"frontier is {_JSON_BOOL[vtx['frontier']]} with {len(vtx['neighbors'])} of {n} neighbors"
     if vtx["frontier"] and graph["complete"]:
         return "frontier vertex in a complete graph"
     return None
+
+
+def _return_error(neighbors: list[dict[int, int]], frontier: list[bool]) -> str | None:
+    """Why the directions of two non-frontier vertices do not pair up, as
+    mutation being an involution pairs them: as many directions of u lead
+    to v as of v to u.  None if they do.  Where each direction leads is
+    not checked: that takes a mutation per edge."""
+    counts: dict[tuple[int, int], int] = {}
+    for u, nbrs in enumerate(neighbors):
+        if not frontier[u]:
+            for v in nbrs.values():
+                if not frontier[v]:
+                    counts[u, v] = counts.get((u, v), 0) + 1
+    for (u, v), c in sorted(counts.items()):
+        back = counts.get((v, u), 0)
+        if back != c:
+            return f"vertex {u}: {c} directions lead to vertex {v} and {back} back"
+    return None
+
+
+def _edges_error(listed: list, edges: list) -> str | None:
+    """Why an export's "edges" list, as (u, v, labels) triples, is not the
+    one its neighbors give; None if it is."""
+    for i in range(max(len(listed), len(edges))):
+        got, want = (e[i] if i < len(e) else None for e in (listed, edges))
+        if got != want:
+            u = min(e[0] for e in (got, want) if e)
+            return f'vertex {u}: "edges" lists {_edge_text(got)} where the neighbors give {_edge_text(want)}'
+    return None
+
+
+def _edge_text(edge) -> str:
+    if edge is None:
+        return "no edge"
+    u, v, ks = edge
+    return f"({u}, {v}) labelled {','.join(map(str, ks))}"
 
 
 def enumerate_graph(
@@ -287,9 +334,12 @@ def enumerate_graph(
     of different ambient contexts never share an entry, and seeds of one
     context share only identical relations.  It lives as long as this call.
 
-    Each companion seed is mutated along every edge computed and permuted
-    as initial's side is (initial needs distinct cluster variables, as
-    principal coefficients give); graph.companions holds them per vertex.
+    Each child is built once, already in canonical slot order, by
+    Seed._child: initial's side takes the canonical order of its new
+    cluster, whose new variable lands in slot perm.index(k - 1) + 1, and
+    each companion seed is mutated along every edge computed in that same
+    order (initial needs distinct cluster variables, as principal
+    coefficients give); graph.companions holds them per vertex.
     A vertex is looked up by initial's canonical key together with the
     slot-aligned companions, so the graph is the joint quotient: two paths
     meet only where every seed glues them, and a companion that arrives
@@ -305,7 +355,8 @@ def enumerate_graph(
     last layer that never expanded are flagged as frontier.  Vertex or term
     budget overruns raise BudgetExceeded carrying the partial graph; the
     term budget counts the clusters of every stored seed, companions too.
-    stats counts the mutations computed (child seeds made, one per edge),
+    stats counts the mutations computed (one child seed and matrix per edge
+    and side),
     the directions reused and exchange_cache_hits, the mutations whose
     relation the memo already held.
     """
@@ -347,14 +398,11 @@ def enumerate_graph(
                     continue
                 # a miss adds the relation to the memo, a hit adds nothing
                 size = len(exchanges)
-                child = seeds[u].mutate(k, exchanges=exchanges)
+                child, perm = seeds[u]._child(k, exchanges)
                 mutations += 1
                 hits += len(exchanges) == size
-                new_var = child.cluster[k - 1]
-                perm = child.canonical_permutation()
-                child = child.permuted(perm)
                 ck = child._canonical_key()
-                arrived = tuple(s.mutate(k, exchanges=exchanges).permuted(perm) for s in sides[u])
+                arrived = tuple(s._child(k, exchanges, perm)[0] for s in sides[u])
                 idx = index.get((ck, arrived))
                 if idx is None:
                     if len(seeds) + 1 > max_vertices:
@@ -378,7 +426,7 @@ def enumerate_graph(
                     paths.append(paths[u] + (orders[u][k - 1] + 1,))
                     new_layer.append(idx)
                 # mutating idx at the slot of the new variable returns to u
-                j = child.cluster.index(new_var) + 1
+                j = perm.index(k - 1) + 1
                 other = back[idx].get(j, neighbors[idx].get(j))
                 if other is not None:
                     raise ClusterMutError(

@@ -178,6 +178,31 @@ def _divide(rem: dict[int, int], low: Exps, high: Exps, width: int, weights: lis
     return out
 
 
+def _packed_quotient(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial:
+    """exact_div of nonzero operands by ``_divide``, on the dividend's own box."""
+    mn, hn = _exponent_box(num.terms)
+    width = (sum(hn) - sum(mn)).bit_length() + 1
+    weights = _weights(len(mn), width)
+    return _divide(dict(_pack(num.terms, mn, weights)), mn, hn, width, weights, den)
+
+
+def _divide_by_term(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial:
+    """exact_div of a nonzero dividend by a one-term divisor c*x^d: each
+    term shifts by -d and its coefficient divides exactly by c, in
+    descending order, so the quotient, its term order and its sort key,
+    and the first coefficient refused, are those of ``_packed_quotient``."""
+    ((d, dc),) = den.terms.items()
+    terms = {}
+    for e, c in num.sorted_terms():
+        q, r = divmod(c, dc)
+        if r:
+            raise NotDivisible(f"coefficient {c} not divisible by {dc}")
+        terms[tuple(map(sub, e, d))] = q
+    out = LaurentPolynomial(num.vars, terms)
+    object.__setattr__(out, "_key", tuple((grlex_key(e), c) for e, c in terms.items()))
+    return out
+
+
 def ambient_vars(n: int, m: int = 0, extra: Sequence[str] = ()) -> tuple[str, ...]:
     """Standard context: x1..xn mutable, x{n+1}..x{n+m} stable, then extras."""
     return tuple(f"x{i}" for i in range(1, n + m + 1)) + tuple(extra)
@@ -380,17 +405,17 @@ class LaurentPolynomial:
         proves the division inexact; refusing it keeps every remainder
         monomial inside the box of the shifted dividend, which the field
         width covers, and a guard bit per field detects a negative or
-        out-of-box quotient exponent without unpacking it.
+        out-of-box quotient exponent without unpacking it.  A one-term
+        divisor is a shift: its quotient is taken term by term instead.
         """
         self._check_context(den)
         if den.is_zero():
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero():
             return self
-        mn, hn = _exponent_box(self.terms)
-        width = (sum(hn) - sum(mn)).bit_length() + 1
-        weights = _weights(len(mn), width)
-        return _divide(dict(_pack(self.terms, mn, weights)), mn, hn, width, weights, den)
+        if len(den.terms) == 1:
+            return _divide_by_term(self, den)
+        return _packed_quotient(self, den)
 
     def derivative(self, index: int) -> "LaurentPolynomial":
         """Formal partial derivative with respect to the variable at

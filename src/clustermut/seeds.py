@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -56,7 +57,7 @@ class ExchangeMatrix:
             raise ParseError("empty matrix")
         if self.m < 0:
             raise ParseError(f"m must be nonnegative, got {self.m}")
-        if len(self.rows) != self.n or any(len(r) != self.n + self.m for r in self.rows):
+        if len(self.rows) != self.n or set(map(len, self.rows)) != {self.n + self.m}:
             raise ParseError(f"matrix shape must be {self.n} x {self.n + self.m}")
 
     @classmethod
@@ -81,11 +82,15 @@ class ExchangeMatrix:
 
     def mutate(self, k: int) -> "ExchangeMatrix":
         """Matrix mutation in direction k: b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2
-        off row and column k, whose entries change sign.
+        off row and column k, whose entries change sign."""
+        return self._mutated(k, range(self.n))
+
+    def _mutated(self, k: int, perm: Sequence[int]) -> "ExchangeMatrix":
+        """mutate(k).permuted(perm) in one pass over the rows.
 
         The half-sum is b_ik |b_kj| where b_kj has the sign of b_ik and 0
-        elsewhere, so a row i != k with b_ik = 0 is reused as it is, and
-        row k is negated."""
+        elsewhere, so a row i != k with b_ik = 0 is only permuted, and row
+        k is negated."""
         if not 1 <= k <= self.n:
             raise BadDirection(f"direction {k} outside [1, {self.n}]")
         kk = k - 1
@@ -93,18 +98,21 @@ class ExchangeMatrix:
         # (j, |b_kj|) where b_kj > 0, and where b_kj < 0
         pos = [(j, b) for j, b in enumerate(pivot) if b > 0]
         neg = [(j, -b) for j, b in enumerate(pivot) if b < 0]
+        cols = (*perm, *range(self.n, self.n + self.m))
+        # in the own order, a range, a row with b_ik = 0 stays the same tuple
+        take = tuple if isinstance(perm, range) or len(cols) == 1 else itemgetter(*cols)
         out = []
-        for i, r in enumerate(self.rows):
+        for i in perm:
+            r = self.rows[i]
             bik = r[kk]
             if i == kk:
-                r = tuple(-x for x in r)
+                r = [-x for x in r]
             elif bik:
-                row = list(r)
+                r = list(r)
                 for j, b in pos if bik > 0 else neg:
-                    row[j] += bik * b
-                row[kk] = -bik
-                r = tuple(row)
-            out.append(r)
+                    r[j] += bik * b
+                r[kk] = -bik
+            out.append(take(r))
         return ExchangeMatrix(tuple(out), self.n, self.m)
 
     def permuted(self, perm: Sequence[int]) -> "ExchangeMatrix":
@@ -305,6 +313,37 @@ def mutate_coefficients(coeffs: tuple, matrix: ExchangeMatrix, k: int, semifield
     return tuple(out)
 
 
+def _tropical_mutate(coeffs: tuple, rows, k: int) -> tuple:
+    """mutate_coefficients over Trop(r) in integers, one element per
+    changed coefficient: with c_k the exponent vector of y_k, y_k inverts
+    and y_j gains b_jk [c_k]+ for b_jk > 0 and |b_jk| [c_k]- for b_jk < 0,
+    as a stable column of an extended matrix mutates (Fomin and
+    Zelevinsky, Cluster algebras IV, 2007)."""
+    ck = coeffs[k - 1].exps
+    up, down = [max(c, 0) for c in ck], [min(c, 0) for c in ck]
+    out = []
+    for j, (y, r) in enumerate(zip(coeffs, rows)):
+        b = r[k - 1]
+        if j == k - 1:
+            y = TropicalElement([-c for c in ck])
+        elif b:
+            y = TropicalElement([c + abs(b) * e for c, e in zip(y.exps, up if b > 0 else down)])
+        out.append(y)
+    return tuple(out)
+
+
+def _canonical_order(cluster: Sequence[LaurentPolynomial]) -> tuple[int, ...]:
+    """The slots of cluster sorted by the term order of their variables,
+    as canonical representatives list them; DegenerateSeed if two slots
+    hold one variable."""
+    keys = [p._sort_key() for p in cluster]
+    order = sorted(range(len(cluster)), key=keys.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if keys[a] == keys[b]:
+            raise DegenerateSeed("duplicate cluster variables")
+    return tuple(order)
+
+
 @dataclass(frozen=True)
 class Seed:
     """Triple of cluster, coefficients, and exchange matrix.
@@ -376,7 +415,7 @@ class Seed:
         the extended row of _extended_row: a tropical y_k = g^e contributes
         y_k / (y_k (+) 1) = g^[e]+ and 1 / (y_k (+) 1) = g^[-e]+ as the
         stable columns of a geometric seed do.  General seeds also mutate
-        their y-tuple.
+        their y-tuple, over Trop(r) in integers (_tropical_mutate).
 
         exchanges memoizes the relations of one enumeration (a fresh dict
         when None).  It maps the key of each relation met (x_k, the pairs
@@ -387,7 +426,17 @@ class Seed:
         seeds it with its roots' clusters, as in {x: x for x in
         root.cluster}.  Seeds of different ambient contexts may share one
         memo: their keys never compare equal.
+
+        This is _child in the seed's own slot order; enumeration calls
+        _child itself, so each child is built once, already in canonical
+        slot order.
         """
+        return self._child(k, exchanges, range(self.n))[0]
+
+    def _child(self, k: int, exchanges: dict | None, perm: Sequence[int] | None = None) -> tuple["Seed", Sequence[int]]:
+        """(mutate(k, exchanges).permuted(perm), perm), building one matrix
+        and one seed; perm None is the canonical order of the new cluster,
+        the order canonicalized() would give the child."""
         if not 1 <= k <= self.n:
             raise BadDirection(f"direction {k} outside [1, {self.n}]")
         if self.mode == GENERAL and self.semifield.kind == "subtraction-free":
@@ -404,11 +453,16 @@ class Seed:
             new_var = self._exchange(k)
             new_var = exchanges[key] = exchanges.setdefault(new_var, new_var)
         cluster = self.cluster[: k - 1] + (new_var,) + self.cluster[k:]
+        if perm is None:
+            perm = _canonical_order(cluster)
         coeffs = self.coeffs
         # over Trop(), the rank-0 tropical semifield, every coefficient is 1
         if self.mode == GENERAL and self.semifield.rank:
-            coeffs = mutate_coefficients(coeffs, self.matrix, k, self.semifield)
-        return Seed(self.matrix.mutate(k), cluster, self.mode, self.semifield, coeffs, self.vars)
+            coeffs = _tropical_mutate(coeffs, self.matrix.rows, k)
+        if coeffs is not None:
+            coeffs = tuple(map(coeffs.__getitem__, perm))
+        cluster = tuple(map(cluster.__getitem__, perm))
+        return Seed(self.matrix._mutated(k, perm), cluster, self.mode, self.semifield, coeffs, self.vars), perm
 
     def _exchange(self, k: int) -> LaurentPolynomial:
         """x_k' = (P+ + P-) / x_k in exchange_quotient's one packed pass."""
@@ -474,11 +528,7 @@ class Seed:
     # -- canonical form ----------------------------------------------------------
 
     def canonical_permutation(self) -> tuple[int, ...]:
-        order = sorted(range(self.n), key=lambda i: self.cluster[i]._sort_key())
-        for a, b in zip(order, order[1:]):
-            if self.cluster[a] == self.cluster[b]:
-                raise DegenerateSeed("duplicate cluster variables")
-        return tuple(order)
+        return _canonical_order(self.cluster)
 
     def permuted(self, perm: Sequence[int]) -> "Seed":
         """perm[i] = old index landing in slot i; coeffs and matrix follow."""
@@ -499,7 +549,7 @@ class Seed:
         matrix rows, the cluster polynomials themselves (their hash is
         cached) and the rendered coefficients, since subtraction-free
         coefficients are unhashable."""
-        coeffs = None if self.coeffs is None else tuple(str(y) for y in self.coeffs)
+        coeffs = None if self.coeffs is None else tuple(map(str, self.coeffs))
         return (self.mode, self.vars, self.matrix.rows, self.cluster, coeffs)
 
     def __str__(self):

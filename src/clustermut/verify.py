@@ -221,16 +221,23 @@ def check_g_specialization(matrix: ExchangeMatrix, path: tuple[int, ...]) -> Ver
 
 
 def _g_spec_witness(pr: Seed, cf: Seed) -> str | None:
-    """The first slot where they differ.  Setting x_{n+1}..x_{2n} to 1 keeps
-    the first n exponents of each term and adds up terms that then meet."""
+    """The first slot where they differ."""
     for i, (x, y) in enumerate(zip(pr.cluster, cf.cluster)):
-        terms: dict[tuple[int, ...], int] = {}
-        for exps, coeff in x.terms.items():
-            terms[exps[:cf.n]] = terms.get(exps[:cf.n], 0) + coeff
-        specialized = LaurentPolynomial(cf.vars, terms)
+        specialized = _specialized(x, y.vars)
         if specialized != y:
             return f"variable {i + 1}: {specialized} != {y}"
     return None
+
+
+def _specialized(x: LaurentPolynomial, vars: tuple[str, ...]) -> LaurentPolynomial:
+    """x with x_{n+1}..x_{2n} set to 1, over the first n of its variables,
+    vars: each term keeps its first n exponents, and terms that then meet
+    add up."""
+    n = len(vars)
+    terms: dict[tuple[int, ...], int] = {}
+    for exps, coeff in x.terms.items():
+        terms[exps[:n]] = terms.get(exps[:n], 0) + coeff
+    return LaurentPolynomial(vars, terms)
 
 
 def _path_report(check: str, b: ExchangeMatrix, path, witness: str | None) -> VerificationReport:
@@ -258,10 +265,15 @@ def _toric_witness(weights, seed: Seed) -> str | None:
     prod_j t_j^{w^j_i} sends a term x^e to x^e * t^(e.w^1, ..., e.w^n), so
     the ratio is a t-monomial iff all terms share that degree."""
     for i, x in enumerate(seed.cluster):
-        degrees = sorted({tuple(sum(e * w for e, w in zip(exps, ws)) for ws in weights) for exps in x.terms})
+        degrees = _weight_degrees(weights, x)
         if len(degrees) > 1:
             return f"variable {i + 1}: terms of weight degrees {degrees[0]} and {degrees[1]}"
     return None
+
+
+def _weight_degrees(weights, x: LaurentPolynomial) -> list[tuple[int, ...]]:
+    """The distinct weight degrees of x's terms, ascending."""
+    return sorted({tuple(sum(e * w for e, w in zip(exps, ws)) for ws in weights) for exps in x.terms})
 
 
 # -- one joint enumeration for coincide, g-spec and toric ---------------------------
@@ -288,12 +300,22 @@ def check_joint_graph(
         graph = enumerate_graph(principal_seed(b), depth, max_vertices, max_terms, tuple(sides.values()))
         if "coincide" in checks:
             reports.append(_coincide_verdict(f"{instance} det={det}", det, graph, sides))
+        # each verdict is read once per distinct variable (or slot-aligned
+        # pair of them) of this graph: interned, they repeat across vertices
         if "g-spec" in checks:
+            @functools.cache
+            def agrees(x, y):
+                return _specialized(x, y.vars) == y
+
             pairs = enumerate(zip(graph.seeds, graph.companions))
-            bad = (v for v, (pr, cf) in pairs if _g_spec_witness(pr, cf[0]))
+            bad = (v for v, (pr, cf) in pairs if not all(map(agrees, pr.cluster, cf[0].cluster)))
             reports.append(_vertex_verdict("g-spec", check_g_specialization, b, instance, graph, bad))
         if weights:
-            bad = (v for v, seed in enumerate(graph.seeds) if _toric_witness(weights, seed))
+            @functools.cache
+            def toric(x):
+                return len(_weight_degrees(weights, x)) <= 1
+
+            bad = (v for v, seed in enumerate(graph.seeds) if not all(map(toric, seed.cluster)))
             reports.append(_vertex_verdict("toric", check_toric_invariance, b, instance, graph, bad))
     if "toric" in checks and not det:
         reports.append(VerificationReport(

@@ -19,11 +19,12 @@ and entries b = +-2 or +-3.  A type in SCOPE runs only the checks and term
 budget given there.
 
 Each type runs in its linear orientation.  The script prints each type's
-time with every graph's mutations (one per edge computed) and exchange
-cache hits, the mutations whose relation the memo already held, and for
-E6 and E7 the bytes and seconds of the coefficient-free graph's JSON
-export, made after the checks, then the total time and the peak resident
-memory.  It exits nonzero at the first type that fails, naming it and the
+time with every graph's mutations (one per edge computed), exchange cache
+hits (the mutations whose relation the memo already held) and seconds of
+enumeration, then each check's report seconds, which leave out the
+enumeration a check shares, and for E6 and E7 the bytes and seconds of the
+coefficient-free graph's JSON export, made after the checks, then the
+total time and the peak resident memory.  It exits nonzero at the first type that fails, naming it and the
 answers that do not hold.
 """
 
@@ -83,12 +84,14 @@ EXPORTED = ("E6", "E7")
 
 @contextlib.contextmanager
 def kept_graphs():
-    """Every graph that verify enumerates while open, in order."""
+    """Every graph that verify enumerates while open, in order, with the
+    seconds its enumeration took."""
     graphs, real = [], verify.enumerate_graph
 
     def kept(*args, **kwargs):
-        graphs.append(real(*args, **kwargs))
-        return graphs[-1]
+        t0 = time.perf_counter()
+        graphs.append((real(*args, **kwargs), time.perf_counter() - t0))
+        return graphs[-1][0]
 
     verify.enumerate_graph = kept
     try:
@@ -97,11 +100,23 @@ def kept_graphs():
         verify.enumerate_graph = real
 
 
+def run(b: ExchangeMatrix, checks=cli.ALL_CHECKS, max_terms: int = DEFAULT_MAX_TERMS):
+    """run_checks on the whole graphs of the coefficient-free seed of b: its
+    reports by check, and kept_graphs' (graph, seconds) pairs."""
+    with kept_graphs() as graphs:
+        reports = {r.check: r for r in verify.run_checks(b, coefficient_free_seed(b), 64, checks, max_terms=max_terms)}
+    return reports, graphs
+
+
 def failures(b: ExchangeMatrix, vertices: int, checks=cli.ALL_CHECKS, max_terms: int = DEFAULT_MAX_TERMS) -> list[str]:
     """The answers that do not hold when run_checks reads the whole graphs
     of the coefficient-free seed of b; empty when all of them do."""
-    with kept_graphs() as graphs:
-        reports = {r.check: r for r in verify.run_checks(b, coefficient_free_seed(b), 64, checks, max_terms=max_terms)}
+    return answers(b, vertices, checks, *run(b, checks, max_terms))
+
+
+def answers(b: ExchangeMatrix, vertices: int, checks, reports: dict, graphs: list) -> list[str]:
+    """failures' answers, read off run's reports and graphs."""
+    graphs = [g for g, _ in graphs]
     shape = (vertices, b.n * vertices // 2, True)
     count = 1 if set(checks) <= {"cluster-seed", "adjacency"} else 2
     pairs = math.comb(vertices, 2)
@@ -124,6 +139,25 @@ def failures(b: ExchangeMatrix, vertices: int, checks=cli.ALL_CHECKS, max_terms:
     return [label for label, ok in answers if not ok]
 
 
+def type_line(name: str) -> tuple[str, list[str]]:
+    """The line main prints for a type, and its failures; the type's graphs
+    are freed on return, before the next type enumerates its own."""
+    b, vertices = TYPES[name]
+    checks, max_terms = SCOPE.get(name, (cli.ALL_CHECKS, DEFAULT_MAX_TERMS))
+    t0 = time.perf_counter()
+    reports, graphs = run(b, checks, max_terms)
+    elapsed = time.perf_counter() - t0
+    work = "; ".join(f"{g.stats['mutations']} mutations, {g.stats['exchange_cache_hits']} exchange cache hits"
+                     f" in {seconds:.2f} s" for g, seconds in graphs)
+    shares = ", ".join(f"{check} {r.seconds:.2f} s" for check, r in sorted(reports.items()))
+    line = f"{name}: {vertices} vertices, {elapsed:.1f} s ({work}) [{shares}]"
+    if name in EXPORTED:
+        t0 = time.perf_counter()
+        size = len(graphs[0][0].export("json"))
+        line += f", JSON export {size} bytes in {time.perf_counter() - t0:.2f} s"
+    return line, answers(b, vertices, checks, reports, graphs)
+
+
 def main(argv: list[str]) -> int:
     names = argv or DEFAULT
     unknown = [name for name in names if name not in TYPES]
@@ -132,18 +166,7 @@ def main(argv: list[str]) -> int:
         return 2
     start = time.perf_counter()
     for name in names:
-        b, vertices = TYPES[name]
-        t0 = time.perf_counter()
-        # kept_graphs nests: failures keeps the same graphs for its answers
-        with kept_graphs() as graphs:
-            failed = failures(b, vertices, *SCOPE.get(name, (cli.ALL_CHECKS, DEFAULT_MAX_TERMS)))
-        work = "; ".join(f"{g.stats['mutations']} mutations, {g.stats['exchange_cache_hits']} exchange cache hits"
-                         for g in graphs)
-        line = f"{name}: {vertices} vertices, {time.perf_counter() - t0:.1f} s ({work})"
-        if name in EXPORTED:
-            t0 = time.perf_counter()
-            size = len(graphs[0].export("json"))
-            line += f", JSON export {size} bytes in {time.perf_counter() - t0:.2f} s"
+        line, failed = type_line(name)
         print(line, flush=True)
         if failed:
             for label in failed:

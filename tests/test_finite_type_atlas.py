@@ -66,7 +66,9 @@ def test_the_graph_checks_entry_runs_one_graph_and_fails_on_a_count(monkeypatch,
     monkeypatch.setitem(atlas.SCOPE, "B3", atlas.SCOPE["E8"])
     assert atlas.main(["B3"]) == 0
     line = capsys.readouterr().out.splitlines()[0]
-    assert re.fullmatch(r"B3: 20 vertices, \d+\.\d s \(\d+ mutations, \d+ exchange cache hits\)", line)
+    assert re.fullmatch(
+        r"B3: 20 vertices, \d+\.\d s \(\d+ mutations, \d+ exchange cache hits in \d+\.\d\d s\)"
+        r" \[adjacency \d+\.\d\d s, cluster-seed \d+\.\d\d s\]", line)
     monkeypatch.setitem(atlas.TYPES, "B3", (b, vertices + 1))
     assert atlas.main(["B3"]) == 1
     assert capsys.readouterr().err.splitlines() == [

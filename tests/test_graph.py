@@ -400,10 +400,20 @@ def _tampered(graph, change):
      "vertex 0: m is 1 in a graph of m = 0"),
     (lambda o: o.update(mode="weird"), "cannot rebuild 'weird' seeds over 'trivial' coefficients"),
     (lambda o: o.update(mode="geometric"), "cannot rebuild 'geometric' seeds over 'trivial' coefficients"),
+    (lambda o: o["vertices"][0].update(depth=-4), "vertex 0: depth -4 is negative"),
+    (lambda o: o.update(edges=[]), 'vertex 0: "edges" lists no edge where the neighbors give (0, 1) labelled 1'),
+    (lambda o: o["edges"][1].update(labels=[2]),
+     'vertex 0: "edges" lists (0, 2) labelled 2 where the neighbors give (0, 2) labelled 1,2'),
+    (lambda o: o["edges"].append({"labels": [1], "u": 3, "v": 4}),
+     'vertex 3: "edges" lists (3, 4) labelled 1 where the neighbors give no edge'),
+    (lambda o: o["edges"][0].update(labels=[True]), "true is not an integer"),
+    # edges() gives the listed edges here too: vertex 1 still leads to 0
+    (lambda o: o["vertices"][0]["neighbors"].update({"1": 2}), "vertex 0: 2 directions lead to vertex 2 and 1 back"),
 ], ids=["rank", "complete", "depth", "frontier", "frontier 1", "neighbor", "entry", "neighbor list",
         "cluster length", "coefficient length", "direction", "direction text", "neighbor index", "matrix n",
         "graph n", "duplicate variable", "frontier flag", "cut neighbors", "complete with frontier", "no vertices",
-        "vertex m", "mode", "mode against coefficients"])
+        "vertex m", "mode", "mode against coefficients", "negative depth", "no edges", "edge labels", "extra edge",
+        "edge label type", "direction to another vertex"])
 def test_json_refuses_values_it_would_coerce(a2, change, bad):
     g = enumerate_graph(coefficient_free_seed(a2), 10)
     with pytest.raises(ParseError, match=f"^bad (graph JSON|matrix): {re.escape(bad)}$"):
@@ -494,13 +504,13 @@ def test_compare_mutates_each_graph_edge_once(a3, monkeypatch):
     # A3's graph has 21 edges, each mutated once on either side; walking
     # the 766 reduced paths to depth 8 in lockstep took 1,530 mutations
     calls = []
-    real = Seed.mutate
+    real = Seed._child
 
-    def counted(self, k, exchanges=None):
+    def counted(self, k, exchanges, perm=None):
         calls.append(k)
-        return real(self, k, exchanges)
+        return real(self, k, exchanges, perm)
 
-    monkeypatch.setattr(Seed, "mutate", counted)
+    monkeypatch.setattr(Seed, "_child", counted)
     result = compare_by_paths(principal_seed(a3), coefficient_free_seed(a3), 8)
     assert result.coincide and result.a_covers_b and result.b_covers_a
     assert len(calls) <= 42
@@ -615,20 +625,48 @@ def test_budget_overrun_matches_every_direction_oracle(budget, markov, a3):
         assert_same_enumeration(seed, 6, max_terms=4 * budget)
 
 
+def test_enumeration_builds_one_matrix_and_one_seed_per_side_and_edge(monkeypatch):
+    # each child is built once, already in canonical slot order: A6 makes
+    # 1,287 mutations, so 1,288 matrices and seeds with the root's, twice
+    # that with one companion
+    a6 = dynkin(6)
+    principal, free = principal_seed(a6), coefficient_free_seed(a6)
+    built = {"matrices": 0, "seeds": 0}
+    real_post_init, real_init = ExchangeMatrix.__post_init__, Seed.__init__
+
+    def counted_post_init(self):
+        built["matrices"] += 1
+        real_post_init(self)
+
+    def counted_init(self, *args, **kwargs):
+        built["seeds"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExchangeMatrix, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Seed, "__init__", counted_init)
+    graph = enumerate_graph(free, 20)
+    assert (graph.stats["mutations"], built) == (1287, {"matrices": 1288, "seeds": 1288})
+    built.update(matrices=0, seeds=0)
+    graph = enumerate_graph(principal, 20, companions=(free,))
+    assert (graph.stats["mutations"], built) == (1287, {"matrices": 2 * 1288, "seeds": 2 * 1288})
+
+
 def test_conflicting_back_edge_raises(a2, monkeypatch):
     # mutating the x2 side of the pentagon is made to land on the x1 side
     # with x1' in the mutated slot, so two vertices claim x1''s slot there
     root = coefficient_free_seed(a2)
     x1_side = root.mutate(1)
     x2_side = root.mutate(2).key()
-    real = Seed.mutate
+    real = Seed._child
 
-    def corrupted(self, k, exchanges=None):
+    def corrupted(self, k, exchanges, perm=None):
         if self.key() == x2_side:
-            return x1_side.permuted((0, 1) if k == 1 else (1, 0))
-        return real(self, k, exchanges)
+            child = x1_side.permuted((0, 1) if k == 1 else (1, 0))
+            perm = child.canonical_permutation() if perm is None else perm
+            return child.permuted(perm), perm
+        return real(self, k, exchanges, perm)
 
-    monkeypatch.setattr(Seed, "mutate", corrupted)
+    monkeypatch.setattr(Seed, "_child", corrupted)
     with pytest.raises(ClusterMutError, match="broken exchange rule"):
         enumerate_graph(root, 10)
 

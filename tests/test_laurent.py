@@ -13,6 +13,7 @@ from clustermut import (
     lp_exact_div,
     parse_poly,
 )
+from clustermut import laurent
 from clustermut.laurent import exchange_quotient, product
 
 V2 = ambient_vars(2)
@@ -285,6 +286,35 @@ def test_packed_kernel_matches_naive_arithmetic(a, b, bump, c):
         return
     assert b.is_monomial()
     assert naive_product(quo, b) == bumped.terms
+
+
+def quotient_or_refusal(divide, num, den):
+    """The quotient's terms in order and its sort key, or the refusal's text."""
+    try:
+        quo = divide(num, den)
+    except NotDivisible as exc:
+        return str(exc)
+    return list(quo.terms.items()), quo._key
+
+
+@given(
+    wide_polys(),
+    st.tuples(*[st.sampled_from(EDGE_EXPS + [0, 1, -2])] * 3),
+    st.sampled_from([1, -1, 2, -3, 7, 2 ** 65 + 1, -(2 ** 64)]),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_one_term_divisor_divides_as_the_packed_path_does(a, exps, c, multiple):
+    # the divisor c*x^exps is taken term by term; the packed path must
+    # agree on the terms, their order and the sort key, or on the refusal
+    den = LaurentPolynomial.monomial(V3, exps, c)
+    num = a * den if multiple else a
+    if num.is_zero():
+        return
+    got = quotient_or_refusal(LaurentPolynomial.exact_div, num, den)
+    assert got == quotient_or_refusal(laurent._packed_quotient, num, den)
+    if multiple:
+        assert LaurentPolynomial(V3, dict(got[0])) == a
 
 
 def test_squares_of_long_polynomials_round_trip():

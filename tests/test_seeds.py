@@ -33,6 +33,7 @@ from clustermut import (
     validate_and_symmetrize,
     y_pattern_tuple,
 )
+from clustermut import seeds
 from clustermut.seeds import GEOMETRIC
 from clustermut.verify import check_laurent, check_pipeline_agreement, random_tropical_seed
 
@@ -216,6 +217,48 @@ def test_seed_mutation_involution_along_random_paths(data):
             for k in range(1, n + 1):
                 assert seed.mutate(k).mutate(k).key() == seed.key()
             seed = seed.mutate(rng.randint(1, n))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_canonical_child_is_the_mutated_seed_canonicalized(data):
+    # d_i in 1..3 puts entries +-2 and +-3 into the principal parts; the
+    # principal seed is the main side, as in enumeration, and the others
+    # follow it as companions along the same path
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    n = rng.randint(1, 4)
+    b = random_skew_symmetrizable(rng, n, 0, max_entry=1)
+    path = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 2)))
+    main, *companions = (
+        s.mutate_path(path) for s in (
+            principal_seed(b),
+            Seed.initial_geometric(random_skew_symmetrizable(rng, n, rng.randint(1, 3), max_entry=1)),
+            coefficient_free_seed(b),
+            random_tropical_seed(b, rng.randint(1, 3), rng.randrange(100)),
+        )
+    )
+    for k in range(1, n + 1):
+        child, perm = main._child(k, {})
+        assert perm == main.mutate(k).canonical_permutation()
+        assert child == main.mutate(k).canonicalized()
+        for s in companions:
+            assert s._child(k, {})[0] == s.mutate(k).canonicalized()
+            assert s._child(k, {}, perm) == (s.mutate(k).permuted(perm), perm)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_tropical_coefficients_mutate_as_stable_columns(data):
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    n, rank = rng.randint(1, 5), rng.randint(0, 4)
+    b = random_skew_symmetrizable(rng, n, 0, max_entry=rng.randint(1, 3))
+    coeffs = tuple(TropicalElement([rng.randint(-3, 3) for _ in range(rank)]) for _ in range(n))
+    k = rng.randint(1, n)
+    expected = mutate_coefficients(coeffs, b, k, TropicalSemifield(rank))
+    assert seeds._tropical_mutate(coeffs, b.rows, k) == expected
+    # the stable columns of [B | C], row j holding y_j's exponents
+    extended = ExchangeMatrix.from_rows([r + y.exps for r, y in zip(b.rows, coeffs)], rank).mutate(k)
+    assert tuple(r[n:] for r in extended.rows) == tuple(y.exps for y in expected)
 
 
 def test_toric_weights_computed_once_per_matrix(a2):

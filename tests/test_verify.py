@@ -307,13 +307,13 @@ def test_one_sided_gluings_read_the_joint_graph_without_mutating(monkeypatch):
     roots = (principal_seed(d5), coefficient_free_seed(d5.mutate(1)))
     graph = enumerate_graph(roots[0], 6, companions=roots[1:])
     calls = []
-    real = Seed.mutate
+    real = Seed._child
 
-    def counted(self, k, exchanges=None):
+    def counted(self, k, exchanges, perm=None):
         calls.append(k)
-        return real(self, k, exchanges)
+        return real(self, k, exchanges, perm)
 
-    monkeypatch.setattr(Seed, "mutate", counted)
+    monkeypatch.setattr(Seed, "_child", counted)
     pairs = list(one_sided_gluings(graph, 0))
     assert (graph.vertex_count, len(pairs), len(calls)) == (485, 625, 0)
     monkeypatch.undo()
@@ -572,19 +572,21 @@ def test_g_specialization_stops_at_a_side_that_breaks_the_involution(a2, monkeyp
     # enumeration finds two vertices claiming one direction of vertex 3
     graph = enumerate_graph(principal_seed(a2), 6, companions=(coefficient_free_seed(a2),))
     (stored,) = graph.companions[3]
-    real = Seed.mutate
+    real = Seed._child
 
-    def corrupted(self, k, exchanges=None):
-        child = real(self, k, exchanges)
+    def corrupted(self, k, exchanges, perm=None):
+        child, perm = real(self, k, exchanges, perm)
         # the coefficient-free seed of vertex 3, in any slot order, mutated at stored's slot 1
         at_vertex_3 = self.mode == "general" and set(self.cluster) == set(stored.cluster)
         if at_vertex_3 and self.cluster[k - 1] == stored.cluster[0]:
+            # the child's slot holding the new variable
+            j = perm.index(k - 1)
             cluster = list(child.cluster)
-            cluster[k - 1] = -cluster[k - 1]
+            cluster[j] = -cluster[j]
             child = dataclasses.replace(child, cluster=tuple(cluster))
-        return child
+        return child, perm
 
-    monkeypatch.setattr(Seed, "mutate", corrupted)
+    monkeypatch.setattr(Seed, "_child", corrupted)
     message = "broken exchange rule: vertices 5 and 4 both reach vertex 3 through its direction 1"
     with pytest.raises(ClusterMutError, match=message):
         enumerate_graph(principal_seed(a2), 6, companions=(coefficient_free_seed(a2),))
@@ -770,11 +772,11 @@ def test_verify_all_enumerates_two_graphs(depth, mutations, monkeypatch, capsys)
     # reaches once (63, then all 84 of them), and the joint one mutates the
     # principal, coefficient-free and random tropical seeds once per edge
     calls = []
-    real = Seed.mutate
+    real = Seed._child
 
-    def counted(self, k, exchanges=None):
+    def counted(self, k, exchanges, perm=None):
         calls.append(k)
-        return real(self, k, exchanges)
+        return real(self, k, exchanges, perm)
 
     enumerations = []
     real_enumerate = verify.enumerate_graph
@@ -783,7 +785,7 @@ def test_verify_all_enumerates_two_graphs(depth, mutations, monkeypatch, capsys)
         enumerations.append(args)
         return real_enumerate(*args, **kwargs)
 
-    monkeypatch.setattr(Seed, "mutate", counted)
+    monkeypatch.setattr(Seed, "_child", counted)
     monkeypatch.setattr(cli, "enumerate_graph", counted_enumerate)
     monkeypatch.setattr(verify, "enumerate_graph", counted_enumerate)
     a4 = "0 1 0 0;-1 0 1 0;0 -1 0 1;0 0 -1 0"
@@ -796,13 +798,13 @@ def test_path_checks_mutate_each_tree_edge_once(monkeypatch, capsys):
     # A4 to depth 4 computes 63 edges: g-spec mutates the principal and
     # coefficient-free seeds along each, toric only the principal one
     calls = []
-    real = Seed.mutate
+    real = Seed._child
 
-    def counted(self, k, exchanges=None):
+    def counted(self, k, exchanges, perm=None):
         calls.append(k)
-        return real(self, k, exchanges)
+        return real(self, k, exchanges, perm)
 
-    monkeypatch.setattr(Seed, "mutate", counted)
+    monkeypatch.setattr(Seed, "_child", counted)
     verify.check_joint_graph(A4, 4, ["g-spec", "toric"])
     assert len(calls) == 126
     for check, count in (("g-spec", 126), ("toric", 63)):
