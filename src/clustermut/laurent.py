@@ -19,25 +19,28 @@ total degree, so integer order is the graded-lex order and adding two
 packed monomials multiplies them.  The field width comes from the
 operands' exponent spans, and exact division refuses any quotient
 exponent outside the range the Newton polytopes allow, so no field ever
-wraps into its neighbour.  Division keeps its remainder on a max-heap of
-packed monomials and pops each leading term instead of rescanning.
+wraps into its neighbour.  Division pops each leading term off a max-heap
+of packed monomials instead of rescanning; its remainder keeps the
+entries that cancel to zero, so each key is pushed once.
 ``*`` runs on exponent tuples; a product with the constant 1 returns the
 other operand itself, which is safe because values are immutable.
 
 ``exchange_quotient`` is the one entry point for an exchange relation
 x_k x_k' = P+ + P-, and every relation runs one packed pass: one field
 width for the whole relation, each factor packed once, powers by packed
-squaring, both products accumulated into the remainder map of the
-division, monomial factors as shifts, and only the quotient unpacked.
-Each quotient, of ``exact_div`` too, takes its sort key from the order in
-which the division produced its terms.
+squaring, each side's last squaring or product written into the
+division's remainder with its monomial factors folded in as a shift and
+a scale, and only the quotient unpacked.  Each quotient, of
+``exact_div`` too, reads its sort key off the order in which the
+division produced its terms and its degrees off the packed top field,
+and skips the zero filter: its coefficients are nonzero.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
+from heapq import heapify, heappop, heappush
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
@@ -75,35 +78,32 @@ def _pack(terms: Mapping[Exps, int], low: Exps, weights: list[int]) -> list[tupl
     return [(sum(map(mul, e, weights)) - base, c) for e, c in terms.items()]
 
 
-def _unpack(packed: Mapping[int, int], low: Exps, width: int) -> dict[Exps, int]:
-    """Inverse of ``_pack``: the term map keyed by exponent tuples."""
-    mask = (1 << width) - 1
-    fields = [(width * i, m) for i, m in zip(reversed(range(len(low))), low)]
-    return {tuple([((key >> s) & mask) + m for s, m in fields]): c for key, c in packed.items()}
-
-
-def _mul_into(out: dict[int, int], pa, pb) -> dict[int, int]:
-    """Add the product of two packed term lists into ``out``."""
+def _mul_into(out: dict[int, int], pa, pb, shift: int = 0, scale: int = 1) -> dict[int, int]:
+    """Add scale * x^shift * pa * pb into ``out``, for packed term lists
+    and a packed monomial ``shift``."""
     get = out.get
     for ka, ca in pa:
+        ka += shift
+        ca *= scale
         for kb, cb in pb:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
     return out
 
 
-def _square_into(out: dict[int, int], pa) -> dict[int, int]:
-    """Add the square of a packed term list into ``out``, forming each
-    cross term once, doubled: the triangle j >= i meets every key first
-    where the full loop does, so the term order is the same."""
+def _square_into(out: dict[int, int], pa, shift: int = 0, scale: int = 1) -> dict[int, int]:
+    """Add scale * x^shift * pa^2 into ``out``, forming each cross term
+    once, doubled: the triangle j >= i meets every key first where the
+    full loop does, so the term order is the same."""
     get = out.get
     for i, (ka, ca) in enumerate(pa):
-        k = ka + ka
-        out[k] = get(k, 0) + ca * ca
-        ca += ca
+        cs, ks = ca * scale, ka + shift
+        k = ks + ka
+        out[k] = get(k, 0) + cs * ca
+        cs += cs
         for kb, cb in pa[i + 1 :]:
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
+            k = ks + kb
+            out[k] = get(k, 0) + cs * cb
     return out
 
 
@@ -111,17 +111,22 @@ def _nonzero(packed: dict[int, int]) -> list[tuple[int, int]]:
     return [(k, c) for k, c in packed.items() if c]
 
 
-def _packed_power(pa: list[tuple[int, int]], e: int) -> list[tuple[int, int]]:
-    """pa ** e for e >= 1 by the binary method of ``__pow__``, squaring on
-    the triangle."""
+def _power_into(out: dict[int, int], pa, e: int, acc) -> dict[int, int]:
+    """Add acc * pa ** e for e >= 1 into ``out``, the power by the binary
+    method of ``__pow__``: a one-term ``acc`` is folded into the last
+    squaring or product, which writes into ``out``."""
+    if len(acc) > 1:
+        return _mul_into(out, acc, _nonzero(_power_into({}, pa, e, [(0, 1)])))
+    ((shift, scale),) = acc
     result = None
-    while True:
+    while e > 1:
         if e & 1:
             result = pa if result is None else _nonzero(_mul_into({}, result, pa))
         e >>= 1
-        if not e:
-            return result
+        if e == 1 and result is None:
+            return _square_into(out, pa, shift, scale)
         pa = _nonzero(_square_into({}, pa))
+    return _mul_into(out, result or [(0, 1)], pa, shift, scale)
 
 
 def _divide(rem: dict[int, int], low: Exps, high: Exps, width: int, weights: list, den) -> LaurentPolynomial:
@@ -130,10 +135,13 @@ def _divide(rem: dict[int, int], low: Exps, high: Exps, width: int, weights: lis
     unless the remainder ends at zero.
 
     ``rem``, which is consumed, maps the dividend's packed monomials to
-    their nonzero coefficients.  They are packed less ``low`` in fields of
-    ``width`` bits, by ``weights``, and all lie in the box [low, high],
-    whose shifted total degree must leave the top bit of every field
-    free.  The box may be larger than the dividend's own: the
+    their coefficients, which may be zero.  Each row subtracts in place;
+    a key the remainder lacks is inserted and pushed once, and a zero
+    lead is skipped.  Every row key lies below the current lead, so no
+    popped key comes back.  The monomials are packed less ``low`` in
+    fields of ``width`` bits, by ``weights``, and all lie in the box
+    [low, high], whose shifted total degree must leave the top bit of
+    every field free.  The box may be larger than the dividend's own: the
     Newton-polytope refusals of ``exact_div`` stay proofs, only looser
     ones.
     """
@@ -146,13 +154,13 @@ def _divide(rem: dict[int, int], low: Exps, high: Exps, width: int, weights: lis
     den_p = sorted(_pack(den.terms, md, weights), reverse=True)
     (den_lead, den_lc), den_rest = den_p[0], den_p[1:]
     heap = [-k for k in rem]
-    heapq.heapify(heap)
+    heapify(heap)
     quo: dict[int, int] = {}
     while heap:
-        lead = -heapq.heappop(heap)
-        lc = rem.pop(lead, None)
-        if lc is None:
-            continue  # cancelled after it was pushed
+        lead = -heappop(heap)
+        lc = rem[lead]
+        if not lc:
+            continue  # cancelled to zero
         e = lead - den_lead
         if e & guard or (limit - e) & guard:
             raise NotDivisible("leading monomial not divisible")
@@ -162,20 +170,22 @@ def _divide(rem: dict[int, int], low: Exps, high: Exps, width: int, weights: lis
         quo[e] = q
         for kb, cb in den_rest:
             t = e + kb
-            c = rem.get(t)
-            if c is None:
+            try:
+                rem[t] -= q * cb
+            except KeyError:
                 rem[t] = -q * cb
-                heapq.heappush(heap, -t)
-            else:
-                c -= q * cb
-                if c:
-                    rem[t] = c
-                else:
-                    del rem[t]
-    # the quotient's terms came off the heap in descending order: no sort for its key
-    out = LaurentPolynomial(den.vars, _unpack(quo, tuple(map(sub, low, md)), width))
-    object.__setattr__(out, "_key", tuple((grlex_key(e), c) for e, c in out.terms.items()))
-    return out
+                heappush(heap, -t)
+    # the terms came off the heap in descending order, so the sort key needs
+    # no sort; a degree is the packed top field plus that of the low corner
+    qlow = tuple(map(sub, low, md))
+    mask, top, base = (1 << width) - 1, width * len(qlow), sum(qlow)
+    fields = [(width * i, m) for i, m in zip(reversed(range(len(qlow))), qlow)]
+    terms, key = {}, []
+    for k, q in quo.items():
+        exps = tuple([((k >> s) & mask) + m for s, m in fields])
+        terms[exps] = q
+        key.append((((k >> top) + base, exps), q))
+    return _nonzero_polynomial(den.vars, terms, tuple(key))
 
 
 def _packed_quotient(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial:
@@ -198,8 +208,14 @@ def _divide_by_term(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPo
         if r:
             raise NotDivisible(f"coefficient {c} not divisible by {dc}")
         terms[tuple(map(sub, e, d))] = q
-    out = LaurentPolynomial(num.vars, terms)
-    object.__setattr__(out, "_key", tuple((grlex_key(e), c) for e, c in terms.items()))
+    return _nonzero_polynomial(num.vars, terms, tuple((grlex_key(e), c) for e, c in terms.items()))
+
+
+def _nonzero_polynomial(vars: tuple[str, ...], terms: dict[Exps, int], key: tuple) -> LaurentPolynomial:
+    """A quotient from its nonzero terms and their sort key, unfiltered."""
+    out = object.__new__(LaurentPolynomial)
+    for name, value in (("vars", vars), ("terms", terms), ("_key", key), ("_hash", None)):
+        object.__setattr__(out, name, value)
     return out
 
 
@@ -513,9 +529,10 @@ def exchange_quotient(
     factors' boxes times their exponents).  The hull contains every
     factor power, partial product and remainder monomial, so no field
     wraps.  Each factor is packed once and its power formed by packed
-    squaring; both products accumulate into the remainder map of the
-    division, and only the quotient is unpacked.  Monomial factors are
-    not multiplied: they shift and scale their side.
+    squaring; each side's last squaring or product writes into the
+    remainder map of the division, and only the quotient is unpacked.
+    Monomial factors are not multiplied: they shift and scale their
+    side, folded into its first power.
     """
     for p, e in (*plus, *minus, (den, 1)):
         if p.vars != vars:
@@ -557,13 +574,11 @@ def exchange_quotient(
     for side_low, _, scale, polys in sides:
         # the monomial part, at its place in the hull, starts the product
         acc = _pack({side_low: scale}, low, weights)
-        powers = [_packed_power(_pack(terms, lo, weights), e) for terms, lo, e in polys]
-        last = powers.pop() if powers else [(0, 1)]  # packed 1
-        for p in powers:
-            acc = _nonzero(_mul_into({}, acc, p))
-        _mul_into(rem, acc, last)
-    rem = {k: c for k, c in rem.items() if c}
-    return _divide(rem, low, high, width, weights, den) if rem else LaurentPolynomial.zero(vars)
+        packs = [(_pack(terms, lo, weights), e) for terms, lo, e in polys] or [([(0, 1)], 1)]  # packed 1
+        for pa, e in packs[:-1]:
+            acc = _nonzero(_power_into({}, pa, e, acc))
+        _power_into(rem, *packs[-1], acc)
+    return _divide(rem, low, high, width, weights, den) if any(rem.values()) else LaurentPolynomial.zero(vars)
 
 
 def render_monomial(vars: tuple[str, ...], exps: Exps) -> str:

@@ -65,11 +65,26 @@ def test_monomial_divisor():
     assert lp_exact_div(lp("x1*x2 + x1"), lp("x1")) == lp("x2 + 1")
 
 
+def assert_canonical(quo):
+    """A quotient, built without the zero filter of __init__, is the
+    polynomial its own terms make, with the same hash and sort key."""
+    fresh = LaurentPolynomial(quo.vars, dict(quo.terms))
+    assert 0 not in quo.terms.values()
+    assert quo == fresh and hash(quo) == hash(fresh)
+    assert quo.is_zero() or quo._key == fresh._sort_key()
+
+
 def test_polynomial_divisor_multiplied_back():
-    num = lp("x2 + 1") * lp("x1 + x2 + 1")
-    quo = lp_exact_div(num, lp("x2 + 1"))
-    assert quo == lp("x1 + x2 + 1")
-    assert quo * lp("x2 + 1") == num
+    for num, den, want in [
+        (lp("x2 + 1") * lp("x1 + x2 + 1"), lp("x2 + 1"), lp("x1 + x2 + 1")),
+        # the first row subtracts at x1*x2, which the dividend lacks, and
+        # the second cancels x2^2 to zero, which is popped and skipped
+        (lp("x1^2 - x2^2"), lp("x1 + x2"), lp("x1 - x2")),
+    ]:
+        quo = lp_exact_div(num, den)
+        assert quo == want
+        assert quo * den == num
+        assert_canonical(quo)
 
 
 def test_division_rejects_remainder():
@@ -276,7 +291,9 @@ def test_packed_kernel_matches_naive_arithmetic(a, b, bump, c):
     assert product.terms == naive_product(a, b)
     if b.is_zero():
         return
-    assert product.exact_div(b) == a
+    quo = product.exact_div(b)
+    assert quo == a
+    assert_canonical(quo)
     # a monomial is a multiple of b only when b is a monomial itself, so a
     # bumped dividend must be refused, and any quotient returned must be exact
     bumped = product + LaurentPolynomial.monomial(V3, bump, c)
@@ -286,6 +303,7 @@ def test_packed_kernel_matches_naive_arithmetic(a, b, bump, c):
         return
     assert b.is_monomial()
     assert naive_product(quo, b) == bumped.terms
+    assert_canonical(quo)
 
 
 def quotient_or_refusal(divide, num, den):
@@ -473,7 +491,7 @@ def test_exchange_quotient_matches_naive_arithmetic(relation):
     assert shape != "corrupt lead" or dividend.is_zero()
     quo = exchange_quotient(vars, plus, minus, den)
     assert list(quo.terms.items()) == list(expected.terms.items())
-    assert quo._sort_key() == LaurentPolynomial(vars, dict(quo.terms))._sort_key()
+    assert_canonical(quo)
     assert naive_product(quo, den) == dividend.terms
     if shape == "zero dividend":
         assert quo.is_zero()
