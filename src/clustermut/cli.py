@@ -43,7 +43,7 @@ from .seeds import (
     principal_seed,
     validate_and_symmetrize,
 )
-from .semifield import TropicalElement, TropicalSemifield
+from .semifield import MAX_TROPICAL_RANK, TropicalElement, TropicalSemifield
 from .verify import REFUTED, random_tropical_seed, run_checks
 
 EXIT_OK = 0
@@ -53,11 +53,6 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 ALL_CHECKS = ("cluster-seed", "adjacency", "coincide", "g-spec", "toric", "laurent")
-
-# Exact division packs each monomial with a field per ambient variable, a
-# cost no budget counts: `verify "0 1;-1 0" --check cluster-seed --depth 2`
-# peaked at 18 MiB at rank 1,000 and 225 MiB at rank 10,000 (Python 3.11, 2-vCPU VM).
-MAX_TROPICAL_RANK = 1000
 
 
 def load_matrix(source: str) -> ExchangeMatrix:

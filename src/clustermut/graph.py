@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import BudgetExceeded, ClusterMutError, ContextMismatch, ParseError, require
 from .laurent import LaurentPolynomial, parse_poly
 from .seeds import GEOMETRIC, ExchangeMatrix, Seed, TrivialSemifield, TropicalSemifield, validate_and_symmetrize
-from .semifield import TropicalElement, parse_tropical
+from .semifield import MAX_TROPICAL_RANK, TropicalElement, parse_tropical
 
 DEFAULT_DEPTH = 8
 DEFAULT_MAX_VERTICES = 10 ** 6
@@ -147,7 +147,8 @@ class ExchangeGraph:
         """Parse an export back: geometric seeds, or general ones over trivial
         or tropical coefficients, and at least one vertex.  Ranks, depths,
         neighbor indices and matrix entries must be JSON integers and the
-        flags JSON booleans, and each vertex must hold n cluster texts of n
+        flags JSON booleans, vars, rank and m must make one ambient context
+        (_context_error), and each vertex must hold n cluster texts of n
         distinct variables (and n coefficient texts over a semifield) for
         its matrix of the graph's n and m and neighbors in directions 1..n
         among the vertices listed, fewer than n exactly if it is frontier,
@@ -181,6 +182,12 @@ class ExchangeGraph:
                 why = _shape_error(vtx, matrix, obj)
                 if why:
                     raise ParseError(f"bad graph JSON: vertex {v}: {why}")
+                if not seeds:
+                    # vertex 0 fits the graph's n and m, which the context reads
+                    why = _context_error(obj, vars)
+                    if why:
+                        raise ParseError(f"bad graph JSON: {why}")
+                    sf = TrivialSemifield() if kind == "trivial" else TropicalSemifield(rank)
                 validate_and_symmetrize.__wrapped__(matrix)
                 for s in vtx["cluster"]:
                     if s not in polys:
@@ -192,7 +199,6 @@ class ExchangeGraph:
                 if mode == GEOMETRIC:
                     seed = Seed(matrix, cluster, GEOMETRIC, None, None, vars)
                 else:
-                    sf = TrivialSemifield() if kind == "trivial" else TropicalSemifield(rank)
                     for s in vtx["coeffs"]:
                         if s not in ys:
                             ys[s] = parse_tropical(sf.rank, s)
@@ -247,6 +253,34 @@ def _json_block(items: list[str], indent: int, brackets: str = "[]") -> str:
     return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
 
 
+def _context_error(graph: dict, vars: tuple) -> str | None:
+    """Why the vars, rank and m of the parsed export graph do not make
+    the ambient context of its mode; None if they do.  A geometric
+    context has n + m variables and any extra parameters after them, a
+    general one n variables and rank generators, rank 0 over trivial
+    coefficients; the rank lies in [0, MAX_TROPICAL_RANK].  No name may
+    repeat: parse_poly would read it as its last slot."""
+    n, m, rank = graph["n"], graph["m"], graph["rank"]
+    if not 0 <= rank <= MAX_TROPICAL_RANK:
+        return f"rank {rank} outside [0, {MAX_TROPICAL_RANK}]"
+    if len(set(vars)) < len(vars):
+        twice = next(x for j, x in enumerate(vars) if x in vars[:j])
+        return f"vars name {twice} twice"
+    if graph["mode"] == GEOMETRIC:
+        if rank != m:
+            return f"rank is {rank} in a geometric graph of m = {m}"
+        if len(vars) < n + m:
+            return f"{len(vars)} vars for n + m = {n + m}"
+        return None
+    if m:
+        return f"m is {m} in a general graph"
+    if rank and graph["coefficients"] == "trivial":
+        return f"rank is {rank} over trivial coefficients"
+    if len(vars) != n + rank:
+        return f"{len(vars)} vars for n + rank = {n + rank}"
+    return None
+
+
 def _shape_error(vtx: dict, matrix: ExchangeMatrix, graph: dict) -> str | None:
     """Why vertex vtx of the parsed export graph does not fit its matrix
     or the graph; None if it does.  Directions must be written as JSON
@@ -258,6 +292,8 @@ def _shape_error(vtx: dict, matrix: ExchangeMatrix, graph: dict) -> str | None:
         return f"{n} rows in a graph of n = {graph['n']}"
     if matrix.m != graph["m"]:
         return f"m is {matrix.m} in a graph of m = {graph['m']}"
+    if (vtx["coeffs"] is None) != (graph["mode"] == GEOMETRIC):
+        return f"coeffs is {'' if vtx['coeffs'] is None else 'not '}null in a {graph['mode']} graph"
     for name, texts in (("cluster", vtx["cluster"]), ("coefficient", vtx["coeffs"])):
         if texts is not None and len(texts) != n:
             return f"{len(texts)} {name} texts for n = {n}"

@@ -714,16 +714,16 @@ class LaurentFraction:
         return self + other
 
     def inv(self) -> "LaurentFraction":
+        """1 / self, of self's class."""
         if self.num.is_zero():
             raise DivisionByZero("inverse of zero")
-        return LaurentFraction(self.den, self.num)
+        return type(self)(self.den, self.num)
 
     def pow(self, k: int) -> "LaurentFraction":
+        """self^k, of self's class."""
         if k < 0:
             return self.inv().pow(-k)
-        num = self.num ** k
-        den = self.den ** k
-        return LaurentFraction(num, den)
+        return type(self)(self.num ** k, self.den ** k)
 
     def equals(self, other: "LaurentFraction") -> bool:
         return self.num * other.den == other.num * self.den

@@ -98,9 +98,7 @@ class ExchangeMatrix:
         # (j, |b_kj|) where b_kj > 0, and where b_kj < 0
         pos = [(j, b) for j, b in enumerate(pivot) if b > 0]
         neg = [(j, -b) for j, b in enumerate(pivot) if b < 0]
-        cols = (*perm, *range(self.n, self.n + self.m))
-        # in the own order, a range, a row with b_ik = 0 stays the same tuple
-        take = tuple if isinstance(perm, range) or len(cols) == 1 else itemgetter(*cols)
+        take = self._columns(perm)
         out = []
         for i in perm:
             r = self.rows[i]
@@ -121,13 +119,15 @@ class ExchangeMatrix:
         perm[i] is the old index that lands in new slot i; stable columns
         never move.
         """
-        out = []
-        for i in range(self.n):
-            old = self.rows[perm[i]]
-            row = [old[perm[j]] for j in range(self.n)]
-            row.extend(old[self.n :])
-            out.append(tuple(row))
-        return ExchangeMatrix(tuple(out), self.n, self.m)
+        take = self._columns(perm)
+        return ExchangeMatrix(tuple(take(self.rows[i]) for i in perm), self.n, self.m)
+
+    def _columns(self, perm: Sequence[int]):
+        """The map from a row to the tuple of its entries with the principal
+        columns in the order perm and the stable ones in place; in the own
+        order, a range, it is tuple, which keeps a tuple row the same object."""
+        cols = (*perm, *range(self.n, self.n + self.m))
+        return tuple if isinstance(perm, range) or len(cols) == 1 else itemgetter(*cols)
 
     def has_zero_row(self) -> bool:
         return any(all(x == 0 for x in r) for r in self.rows)
@@ -409,7 +409,7 @@ class Seed:
 
     # -- mutation ------------------------------------------------------------
 
-    def mutate(self, k: int, exchanges: dict | None = None) -> "Seed":
+    def mutate(self, k: int) -> "Seed":
         """Exchange relation x_k x_k' = P+ + P-, with P+ and P- the products
         of x_i^[b_ki]+ and x_i^[-b_ki]+ over the extended cluster and b_k
         the extended row of _extended_row: a tropical y_k = g^e contributes
@@ -417,26 +417,24 @@ class Seed:
         stable columns of a geometric seed do.  General seeds also mutate
         their y-tuple, over Trop(r) in integers (_tropical_mutate).
 
-        exchanges memoizes the relations of one enumeration (a fresh dict
-        when None).  It maps the key of each relation met (x_k, the pairs
-        (x_i, b_ki) with b_ki != 0 over the mutable slots and the stable
-        part of the extended row, which is all the relation reads) to its
-        x_k', and each x_k' to itself, so that equal variables share one
-        object.  A hit forms no product and divides nothing; the caller
-        seeds it with its roots' clusters, as in {x: x for x in
-        root.cluster}.  Seeds of different ambient contexts may share one
-        memo: their keys never compare equal.
-
-        This is _child in the seed's own slot order; enumeration calls
-        _child itself, so each child is built once, already in canonical
-        slot order.
+        This is _child in the seed's own slot order, with a memo of its own.
         """
-        return self._child(k, exchanges, range(self.n))[0]
+        return self._child(k, {}, range(self.n))[0]
 
-    def _child(self, k: int, exchanges: dict | None, perm: Sequence[int] | None = None) -> tuple["Seed", Sequence[int]]:
-        """(mutate(k, exchanges).permuted(perm), perm), building one matrix
-        and one seed; perm None is the canonical order of the new cluster,
-        the order canonicalized() would give the child."""
+    def _child(self, k: int, exchanges: dict, perm: Sequence[int] | None = None) -> tuple["Seed", Sequence[int]]:
+        """(mutate(k).permuted(perm), perm), building one matrix and one
+        seed; perm None is the canonical order of the new cluster, the
+        order canonicalized() would give the child.
+
+        exchanges memoizes the relations of one enumeration.  It maps the
+        key of each relation met (x_k, the pairs (x_i, b_ki) with b_ki != 0
+        over the mutable slots and the stable part of the extended row,
+        which is all the relation reads) to its x_k', and each x_k' to
+        itself, so that equal variables share one object.  A hit forms no
+        product and divides nothing; the caller seeds it with its roots'
+        clusters, as in {x: x for x in root.cluster}.  Seeds of different
+        ambient contexts may share one memo: their keys never compare
+        equal."""
         if not 1 <= k <= self.n:
             raise BadDirection(f"direction {k} outside [1, {self.n}]")
         if self.mode == GENERAL and self.semifield.kind == "subtraction-free":
@@ -444,8 +442,6 @@ class Seed:
                 "cluster mutation over subtraction-free coefficients is not "
                 "supported; mutate the y-tuple with mutate_coefficients instead"
             )
-        if exchanges is None:
-            exchanges = {}
         row = self._extended_row(k)
         key = (self.cluster[k - 1], tuple((x, b) for x, b in zip(self.cluster, row) if b), row[self.n :])
         new_var = exchanges.get(key)

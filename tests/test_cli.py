@@ -392,6 +392,16 @@ def test_tree_checks_honour_the_term_budget(check, capsys):
     assert (captured.out, captured.err) == ("", "error: term budget 2 exhausted\n")
 
 
+def test_laurent_alone_reports_a_term_budget_overrun_as_inconclusive(capsys):
+    # under --check all, laurent reads the graph the other checks share,
+    # whose enumeration exits 3 before any report
+    code = cli.main(["verify", A2_TEXT, "--check", "all", "--max-terms", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (cli.EXIT_BUDGET, "", "error: term budget 5 exhausted\n")
+    code, out = run(["verify", A2_TEXT, "--check", "laurent", "--max-terms", "5"], capsys)
+    assert (code, out) == (cli.EXIT_OK, "laurent: inconclusive [term budget 5 exhausted]\n")
+
+
 @pytest.mark.parametrize(
     "matrix, checks",
     [

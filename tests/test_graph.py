@@ -420,6 +420,51 @@ def test_json_refuses_values_it_would_coerce(a2, change, bad):
         ExchangeGraph.from_json(_tampered(g, change))
 
 
+def _general_from_principal(o):
+    # principal A2 relabelled general, its matrices keeping the stable columns
+    o.update(mode="general", coefficients="tropical")
+    for vtx in o["vertices"]:
+        vtx["coeffs"] = ["1", "1"]
+
+
+@pytest.mark.parametrize("seed, change, bad", [
+    ("principal", _general_from_principal, "m is 2 in a general graph"),
+    ("tropical", lambda o: o.update(rank=3), "4 vars for n + rank = 5"),
+    ("trivial", lambda o: o.update(rank=-1), "rank -1 outside [0, 1000]"),
+    ("trivial", lambda o: o.update(rank=10 ** 5), "rank 100000 outside [0, 1000]"),
+    ("trivial", lambda o: o.update(rank=2, vars=["x1", "x2", "g1", "g2"]), "rank is 2 over trivial coefficients"),
+    ("principal", lambda o: o.update(rank=1), "rank is 1 in a geometric graph of m = 2"),
+    ("principal", lambda o: o.update(vars=["x1", "x2", "x3"]), "3 vars for n + m = 4"),
+    ("principal", lambda o: o["vertices"][0].update(coeffs=["1", "1"]),
+     "vertex 0: coeffs is not null in a geometric graph"),
+    ("tropical", lambda o: o["vertices"][0].update(coeffs=None), "vertex 0: coeffs is null in a general graph"),
+    ("trivial", lambda o: o.update(vars=["x1", "x1"]), "vars name x1 twice"),
+    ("principal", lambda o: o.update(vars=["x1", "x2", "x3", "x4", "x2"]), "vars name x2 twice"),
+], ids=["general with stable columns", "tropical rank", "negative rank", "rank above the bound", "trivial rank",
+        "geometric rank", "geometric vars", "geometric coeffs", "general coeffs", "repeated var",
+        "repeated extra var"])
+def test_json_refuses_a_header_of_no_context(a2, seed, change, bad):
+    seed = {"trivial": coefficient_free_seed(a2), "principal": principal_seed(a2),
+            "tropical": random_tropical_seed(a2, 2, 5)}[seed]
+    with pytest.raises(ParseError, match=f"^bad graph JSON: {re.escape(bad)}$"):
+        ExchangeGraph.from_json(_tampered(enumerate_graph(seed, 10), change))
+
+
+@pytest.mark.parametrize("seed", [
+    coefficient_free_seed,
+    principal_seed,
+    lambda b: random_tropical_seed(b, 2, 5),
+    lambda b: principal_seed(b).to_general(),
+    lambda b: principal_seed(b, extra_vars=("t1", "t2", "t3")),
+], ids=["trivial", "principal", "tropical:2", "principal as general", "principal with extra vars"])
+def test_json_round_trip_in_every_context(a3, seed):
+    g = enumerate_graph(seed(a3), 20)
+    assert g.complete
+    again = ExchangeGraph.from_json(g.to_json())
+    assert again == g
+    assert again.export("json") == g.export("json")
+
+
 def test_json_import_leaves_the_symmetrizer_cache_alone(a3):
     text = enumerate_graph(coefficient_free_seed(a3), 20).to_json()
     validate_and_symmetrize.cache_clear()

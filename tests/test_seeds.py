@@ -334,8 +334,8 @@ def test_pipeline_agreement_refutes_a_general_step_that_disagrees(field, witness
     # the general step keeps one field of the seed it started from
     real = Seed.mutate
 
-    def stale(self, k, exchanges=None):
-        out = real(self, k, exchanges)
+    def stale(self, k):
+        out = real(self, k)
         return out if self.mode == GEOMETRIC else replace(out, **{field: getattr(self, field)})
 
     monkeypatch.setattr(Seed, "mutate", stale)

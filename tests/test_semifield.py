@@ -91,6 +91,18 @@ def test_subtraction_free_strips_monomial_content():
     assert e.num == parse_poly(y_vars(2), "y1*y2 + 1")
 
 
+def test_subtraction_free_inverse_and_powers_stay_subtraction_free():
+    # inv and pow are LaurentFraction's, building their result with type(self)
+    e = sf_elem("y1 + 1", "y1*y2")
+    for result, expected in (
+        (e.inv(), sf_elem("y1*y2", "y1 + 1")),
+        (e.pow(-2), sf_elem("y1^2*y2^2", "y1^2 + 2*y1 + 1")),
+        (e.pow(3), sf_elem("y1^3 + 3*y1^2 + 3*y1 + 1", "y1^3*y2^3")),
+    ):
+        assert type(result) is SubtractionFreeRational
+        assert (result.num, result.den) == (expected.num, expected.den)
+
+
 def test_tropical_render_parse():
     e = TropicalElement((2, -1, 0))
     assert str(e) == "g1^2*g2^-1"
